@@ -308,9 +308,9 @@ bool EquivalenceCheck(uint64_t seed) {
   o.reopt_delta_tail = 16;
   o.seed = seed;
   JanusAqp blocking(o);
-  JanusOptions bg_opts = o;
-  bg_opts.reopt_mode = ReoptMode::kBackground;
-  JanusAqp background(bg_opts);
+  JanusAqp background(o);
+  // An owner hook: trigger evaluations there only record requests.
+  background.SetReoptNotify([] {});
 
   const GeneratedDataset ds =
       GenerateUniform(4000, 1, static_cast<int>(seed % 997));

@@ -281,24 +281,29 @@ std::vector<int> ArgMap::GetIntList(const std::string& key,
   return out.empty() ? def : out;
 }
 
-AggFunc ParseAggFunc(const std::string& name, AggFunc def) {
+std::optional<AggFunc> ParseAggFunc(const std::string& name) {
   const std::string v = Lower(name);
   if (v == "sum") return AggFunc::kSum;
   if (v == "count" || v == "cnt") return AggFunc::kCount;
   if (v == "avg") return AggFunc::kAvg;
   if (v == "min") return AggFunc::kMin;
   if (v == "max") return AggFunc::kMax;
-  return def;
+  return std::nullopt;
 }
 
-PartitionAlgorithm ParsePartitionAlgorithm(const std::string& name,
-                                           PartitionAlgorithm def) {
+std::optional<PartitionAlgorithm> ParsePartitionAlgorithm(
+    const std::string& name) {
   const std::string v = Lower(name);
   if (v == "bs" || v == "binary-search") return PartitionAlgorithm::kBinarySearch;
   if (v == "dp" || v == "dynamic-program") return PartitionAlgorithm::kDynamicProgram;
   if (v == "ed" || v == "equal-depth") return PartitionAlgorithm::kEqualDepth;
   if (v == "kd" || v == "kd-tree") return PartitionAlgorithm::kKdTree;
-  return def;
+  return std::nullopt;
+}
+
+std::optional<std::string> ParseReoptMode(const std::string& name) {
+  if (name == "blocking" || name == "background") return name;
+  return std::nullopt;
 }
 
 const char* PartitionAlgorithmName(PartitionAlgorithm a) {
@@ -369,6 +374,21 @@ size_t EditDistance(const std::string& a, const std::string& b) {
   return prev[b.size()];
 }
 
+/// Value of a key whose value must be one of a fixed set of names; an
+/// unrecognized name is a typed error naming the key and the value.
+template <typename T, typename Parse>
+T ParseNamed(const ArgMap& args, const std::string& key, T def, Parse parse) {
+  if (!args.Has(key)) return def;
+  const std::string name = args.GetString(key, "");
+  const std::optional<T> v = parse(name);
+  if (!v.has_value()) {
+    throw ApiException(ApiErrorCode::kInvalidArgument,
+                       "config key '" + key + "' has unknown value '" + name +
+                           "'");
+  }
+  return *v;
+}
+
 }  // namespace
 
 EngineConfig EngineConfig::FromArgs(const ArgMap& args,
@@ -413,16 +433,16 @@ EngineConfig EngineConfig::FromArgs(const ArgMap& args,
   c.catchup_rate =
       args.GetDouble("catchup_rate", args.GetDouble("catchup", c.catchup_rate));
   c.confidence = args.GetDouble("confidence", c.confidence);
-  c.focus = ParseAggFunc(args.GetString("focus", ""), c.focus);
+  c.focus = ParseNamed(args, "focus", c.focus, ParseAggFunc);
   c.algorithm =
-      ParsePartitionAlgorithm(args.GetString("algorithm", ""), c.algorithm);
+      ParseNamed(args, "algorithm", c.algorithm, ParsePartitionAlgorithm);
   c.enable_triggers = args.GetBool("triggers", c.enable_triggers);
   c.beta = args.GetDouble("beta", c.beta);
   c.trigger_check_interval =
       args.GetUint64("check_interval", c.trigger_check_interval);
   c.starvation_factor = args.GetDouble("starvation", c.starvation_factor);
   c.partial_repartition_psi = args.GetInt("psi", c.partial_repartition_psi);
-  c.reopt_mode = args.GetString("reopt_mode", c.reopt_mode);
+  c.reopt_mode = ParseNamed(args, "reopt_mode", c.reopt_mode, ParseReoptMode);
   c.reopt_delta_tail = args.GetSize("reopt_delta_tail", c.reopt_delta_tail);
   c.num_strata = args.GetInt("strata", c.num_strata);
   c.train_fraction = args.GetDouble("train_fraction", c.train_fraction);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,13 +105,13 @@ struct EngineConfig {
   uint64_t trigger_check_interval = 64;
   double starvation_factor = 0.25;
   int partial_repartition_psi = 0;
-  /// How trigger re-partitions execute: "blocking" runs them inline on the
-  /// update path (historical behavior); "background" records a request and
-  /// a per-engine maintenance thread drives the off-to-the-side build +
-  /// pointer-swap adoption pipeline (janus; multi routes Reinitialize()
-  /// through it).
+  /// Who drives the re-optimization pipeline: "blocking" runs its stages
+  /// back to back on the updater whose trigger fired (the paper's behavior);
+  /// "background" starts a per-engine maintenance thread that runs them off
+  /// the update path (janus; multi routes Reinitialize() through it). Any
+  /// other value is rejected at engine construction.
   std::string reopt_mode = "blocking";
-  /// Background pipeline: the build keeps pre-draining the double-applied
+  /// Re-optimization pipeline: the build keeps pre-draining the captured
   /// update buffer until at most this many ops remain for the exclusive
   /// adoption step.
   size_t reopt_delta_tail = 1024;
@@ -170,10 +171,13 @@ struct EngineConfig {
   std::string ToString() const;
 };
 
-/// Names for AggFunc / PartitionAlgorithm config values ("sum", "bs", ...).
-AggFunc ParseAggFunc(const std::string& name, AggFunc def);
-PartitionAlgorithm ParsePartitionAlgorithm(const std::string& name,
-                                           PartitionAlgorithm def);
+/// Names for AggFunc / PartitionAlgorithm config values ("sum", "bs", ...);
+/// nullopt for a name that is neither.
+std::optional<AggFunc> ParseAggFunc(const std::string& name);
+std::optional<PartitionAlgorithm> ParsePartitionAlgorithm(
+    const std::string& name);
+/// reopt_mode values: "blocking" or "background"; nullopt for anything else.
+std::optional<std::string> ParseReoptMode(const std::string& name);
 const char* PartitionAlgorithmName(PartitionAlgorithm a);
 
 }  // namespace janus

@@ -57,25 +57,16 @@ class EngineDriver {
 
   const EngineDriverStats& stats() const { return stats_; }
 
-  /// Answers to the consumed query requests, in query-topic order. The
-  /// buffer grows with every polled query until TakeResults() drains it —
-  /// long-running consumers that only peek leak results forever, which is
-  /// why the accessor is deprecated in favor of the drain API (the serving
-  /// tier is drain-only).
-  [[deprecated(
-      "results() accumulates without bound; drain with TakeResults() and use "
-      "pending_results() for the buffered count")]]
-  const std::vector<QueryResult>& results() const { return results_; }
-
   /// Number of results currently buffered (waiting for TakeResults()).
   size_t pending_results() const { return results_.size(); }
 
-  /// Move the accumulated results out and clear the buffer. Long-running
-  /// drivers must drain periodically — results() otherwise grows linearly
-  /// in query count forever. Offsets, stats and snapshot semantics are
-  /// unaffected: a snapshot taken after a drain records the same offsets it
-  /// would have with the results still buffered (results are derived data
-  /// and are not part of the snapshot).
+  /// Answers to the consumed query requests, in query-topic order, moved
+  /// out; the buffer is cleared. Long-running drivers must drain
+  /// periodically — the buffer otherwise grows linearly in query count.
+  /// Offsets, stats and snapshot semantics are unaffected: a snapshot taken
+  /// after a drain records the same offsets it would have with the results
+  /// still buffered (results are derived data and are not part of the
+  /// snapshot).
   std::vector<QueryResult> TakeResults();
 
   // --- snapshot persistence & crash recovery --------------------------------

@@ -36,9 +36,9 @@ struct EngineStats {
   uint64_t trigger_checks = 0;
   uint64_t trigger_fires = 0;
   uint64_t reservoir_resamples = 0;
-  /// Background re-optimization pipeline (reopt_mode=background): side
-  /// trees adopted, side trees discarded at adoption, and double-applied
-  /// delta ops replayed into side trees.
+  /// Re-optimization pipeline: side trees a maintenance thread
+  /// (reopt_mode=background) adopted or discarded, and captured delta ops
+  /// replayed into side trees in either mode.
   uint64_t background_reopts = 0;
   uint64_t background_discards = 0;
   uint64_t delta_ops_replayed = 0;
@@ -60,7 +60,9 @@ struct EngineStats {
   /// in time, which is the expected idle-pool fast path).
   uint64_t stolen_morsels = 0;
   double last_reopt_seconds = 0;      ///< last re-optimization, wall clock
-  double last_blocking_seconds = 0;   ///< blocking step of the last re-opt
+  /// How long the last re-opt held updates: the whole run in blocking
+  /// mode, the adoption step in background mode.
+  double last_blocking_seconds = 0;
   double build_seconds = 0;           ///< last full (re)build / retrain
   double partition_seconds = 0;       ///< optimizer-only share of the build
 

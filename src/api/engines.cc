@@ -10,6 +10,8 @@
 #include <thread>
 #include <utility>
 
+#include "api/config.h"
+#include "api/error.h"
 #include "api/registry.h"
 #include "baselines/rs.h"
 #include "baselines/spn.h"
@@ -114,10 +116,20 @@ JanusOptions MakeJanusOptions(const EngineConfig& c,
   o.starvation_factor = c.starvation_factor;
   o.partial_repartition_psi = c.partial_repartition_psi;
   o.seed = c.seed;
-  o.reopt_mode = c.reopt_mode == "background" ? ReoptMode::kBackground
-                                              : ReoptMode::kBlocking;
   o.reopt_delta_tail = c.reopt_delta_tail;
   return o;
+}
+
+/// Whether the engine starts a maintenance thread to run re-optimizations
+/// (reopt_mode=background) instead of leaving them to the updater whose
+/// trigger fired (blocking).
+bool RunsMaintenanceThread(const EngineConfig& c) {
+  if (!ParseReoptMode(c.reopt_mode).has_value()) {
+    throw ApiException(ApiErrorCode::kInvalidArgument,
+                       "config key 'reopt_mode' has unknown value '" +
+                           c.reopt_mode + "'");
+  }
+  return c.reopt_mode == "background";
 }
 
 /// "janus": the full JanusAQP system of Sec. 4/5.
@@ -125,7 +137,7 @@ class JanusEngine : public AqpEngine {
  public:
   explicit JanusEngine(const EngineConfig& c)
       : impl_(MakeJanusOptions(c, &scan_counters_)) {
-    if (impl_.options().reopt_mode == ReoptMode::kBackground) {
+    if (RunsMaintenanceThread(c)) {
       // A trigger fire records a request and kicks the maintenance thread;
       // the thread drains requests through the three-stage pipeline, taking
       // rooms exactly like an external caller (so the exclusive fence is
@@ -246,7 +258,7 @@ class MultiEngine : public AqpEngine {
     spec.agg_column = c.agg_column;
     spec.predicate_columns = c.predicate_columns;
     impl_.AddTemplate(spec);
-    if (c.reopt_mode == "background") {
+    if (RunsMaintenanceThread(c)) {
       maint_ = std::make_unique<MaintenanceThread>(
           [this] { return RunBackgroundRebuild(); });
     }
@@ -303,17 +315,19 @@ class MultiEngine : public AqpEngine {
   }
   void RunCatchupToGoalImpl() override { impl_.RunCatchupToGoal(); }
 
-  /// Blocking mode rebuilds every template inline (under the exclusive room
-  /// the base class already holds). Background mode only kicks the
-  /// maintenance thread: the call returns immediately and the per-template
-  /// side trees are adopted when the pipeline finishes.
+  /// Blocking mode runs the pipeline stages back to back under the
+  /// exclusive room the base class already holds. Background mode only
+  /// kicks the maintenance thread: the call returns immediately and the
+  /// per-template side trees are adopted when the pipeline finishes.
   void ReinitializeImpl() override {
     if (maint_) {
       maint_->Kick();
       return;
     }
-    impl_.Rebuild();
+    Timer total;
+    if (!impl_.Rebuild()) return;
     ++repartitions_;
+    last_reopt_seconds_ = last_blocking_seconds_ = total.ElapsedSeconds();
   }
 
   EngineStats StatsImpl() const override {

@@ -11,12 +11,24 @@
 
 namespace janus {
 
+SptOptions MakeSptOptions(const JanusOptions& o, const SynopsisSpec& spec) {
+  SptOptions s;
+  s.spec = spec;
+  s.num_leaves = o.num_leaves;
+  s.focus = o.focus;
+  s.sample_rate = o.sample_rate;
+  s.algorithm = o.algorithm;
+  s.rho = o.rho;
+  s.delta = o.delta;
+  s.minmax_k = o.minmax_k;
+  s.confidence = o.confidence;
+  s.seed = o.seed;
+  s.exec = o.exec;
+  return s;
+}
+
 JanusAqp::JanusAqp(const JanusOptions& opts)
     : opts_(opts), table_(opts.schema), rng_(opts.seed) {}
-
-JanusAqp::~JanusAqp() {
-  if (opt_thread_.joinable()) opt_thread_.join();
-}
 
 DptOptions JanusAqp::MakeDptOptions() const {
   DptOptions d;
@@ -30,28 +42,8 @@ DptOptions JanusAqp::MakeDptOptions() const {
   return d;
 }
 
-SptOptions JanusAqp::MakeSptOptions() const {
-  SptOptions s;
-  s.spec = opts_.spec;
-  s.num_leaves = opts_.num_leaves;
-  s.focus = opts_.focus;
-  s.sample_rate = opts_.sample_rate;
-  s.algorithm = opts_.algorithm;
-  s.rho = opts_.rho;
-  s.delta = opts_.delta;
-  s.minmax_k = opts_.minmax_k;
-  s.confidence = opts_.confidence;
-  s.seed = opts_.seed;
-  s.exec = opts_.exec;
-  return s;
-}
-
 void JanusAqp::LoadInitial(const std::vector<Tuple>& rows) {
   for (const Tuple& t : rows) table_.Insert(t);
-}
-
-void JanusAqp::RefreshBaselines() {
-  leaf_baseline_var_ = ComputeBaselines(*dpt_);
 }
 
 std::vector<double> JanusAqp::ComputeBaselines(const Dpt& dpt) const {
@@ -70,7 +62,7 @@ void JanusAqp::AdoptSpec(PartitionTreeSpec spec) {
       opts_.catchup_rate * static_cast<double>(table_.size()));
   catchup_ = std::make_unique<CatchupEngine>(
       dpt_.get(), table_.store().WithoutIndex(), goal, rng_.Next());
-  RefreshBaselines();
+  leaf_baseline_var_ = ComputeBaselines(*dpt_);
 }
 
 void JanusAqp::Initialize() {
@@ -80,9 +72,8 @@ void JanusAqp::Initialize() {
   reservoir_ = std::make_unique<DynamicReservoir>(target, rng_.Next());
   reservoir_->Reset(table_.SampleUniform(&rng_, target, opts_.exec));
   Timer timer;
-  PartitionResult pr =
-      OptimizePartition(reservoir_->samples(), MakeSptOptions(),
-                        table_.size());
+  PartitionResult pr = OptimizePartition(
+      reservoir_->samples(), MakeSptOptions(opts_, opts_.spec), table_.size());
   Timer blocking;
   AdoptSpec(std::move(pr.spec));
   counters_.last_blocking_seconds = blocking.ElapsedSeconds();
@@ -91,28 +82,18 @@ void JanusAqp::Initialize() {
 
 void JanusAqp::Insert(const Tuple& t) {
   {
-    MutexLock lock(&update_mu_);
-    table_.Insert(t);
-    ++counters_.inserts;
-    ReservoirChange ch = reservoir_->OnInsert(t, table_.size());
-    if (ch.evicted.has_value()) {
-      dpt_->SampleRemove(*ch.evicted);
-      if (bg_capture_) {
-        bg_.delta.push_back({ReoptDeltaOp::Kind::kSampleRemove, *ch.evicted, {}});
-      }
-    }
-    if (ch.added.has_value()) {
-      dpt_->SampleAdd(*ch.added);
-      if (bg_capture_) {
-        bg_.delta.push_back({ReoptDeltaOp::Kind::kSampleAdd, *ch.added, {}});
-      }
-    }
-    if (bg_capture_) bg_.delta.push_back({ReoptDeltaOp::Kind::kInsert, t, {}});
-  }
-  {
-    // Shared hold: a concurrent trigger repartition (tree_mu_ writer) must
-    // not free the tree out from under the statistics update.
+    // Shared for the whole op: a synopsis swap lands before or after it,
+    // never between its captured table change and its tree apply.
     ReaderMutexLock tree(&tree_mu_);
+    {
+      MutexLock lock(&update_mu_);
+      table_.Insert(t);
+      ++counters_.inserts;
+      const ReservoirChange ch = reservoir_->OnInsert(t, table_.size());
+      if (ch.evicted.has_value()) dpt_->SampleRemove(*ch.evicted);
+      if (ch.added.has_value()) dpt_->SampleAdd(*ch.added);
+      if (reopt_.run.active()) reopt_.run.CaptureInsert(t, ch);
+    }
     dpt_->ApplyInsert(t);
   }
   if (opts_.enable_triggers) CheckTriggers(t);
@@ -121,38 +102,28 @@ void JanusAqp::Insert(const Tuple& t) {
 bool JanusAqp::Delete(uint64_t id) {
   Tuple t;
   {
-    MutexLock lock(&update_mu_);
-    const std::optional<Tuple> p = table_.Find(id);
-    if (!p.has_value()) return false;
-    t = *p;
-    // A pipeline whose archive assembly has not reached this row yet loses
-    // its Begin-time payload with this delete; park it for the assembler.
-    if (bg_capture_ && bg_.copy_pos < bg_.t0_ids.size()) {
-      bg_.rescued.emplace(id, t);
-    }
-    table_.Delete(id);
-    ++counters_.deletes;
-    ReservoirChange ch = reservoir_->OnDelete(id);
-    if (ch.needs_resample) {
-      // Sec. 4.2: |S| hit its lower bound m; re-sample 2m from the archive.
-      std::vector<Tuple> fresh =
-          table_.SampleUniform(&rng_, reservoir_->capacity(), opts_.exec);
-      reservoir_->Reset(fresh);
-      dpt_->ResetSamples(fresh);
-      ++counters_.reservoir_resamples;
-      if (bg_capture_) {
-        bg_.delta.push_back({ReoptDeltaOp::Kind::kSampleReset, Tuple{}, fresh});
-      }
-    } else if (ch.evicted.has_value()) {
-      dpt_->SampleRemove(*ch.evicted);
-      if (bg_capture_) {
-        bg_.delta.push_back({ReoptDeltaOp::Kind::kSampleRemove, *ch.evicted, {}});
-      }
-    }
-    if (bg_capture_) bg_.delta.push_back({ReoptDeltaOp::Kind::kDelete, t, {}});
-  }
-  {
     ReaderMutexLock tree(&tree_mu_);
+    {
+      MutexLock lock(&update_mu_);
+      const std::optional<Tuple> p = table_.Find(id);
+      if (!p.has_value()) return false;
+      t = *p;
+      if (reopt_.run.active()) reopt_.run.ParkRows(table_.store(), id);
+      table_.Delete(id);
+      ++counters_.deletes;
+      const ReservoirChange ch = reservoir_->OnDelete(id);
+      std::vector<Tuple> fresh;
+      if (ch.needs_resample) {
+        // Sec. 4.2: |S| hit its lower bound m; re-sample 2m from the archive.
+        fresh = table_.SampleUniform(&rng_, reservoir_->capacity(), opts_.exec);
+        reservoir_->Reset(fresh);
+        dpt_->ResetSamples(fresh);
+        ++counters_.reservoir_resamples;
+      } else if (ch.evicted.has_value()) {
+        dpt_->SampleRemove(*ch.evicted);
+      }
+      if (reopt_.run.active()) reopt_.run.CaptureDelete(t, ch, fresh);
+    }
     dpt_->ApplyDelete(t);
   }
   if (opts_.enable_triggers) CheckTriggers(t);
@@ -171,41 +142,28 @@ size_t JanusAqp::StepCatchup(size_t batch) {
   return catchup_ ? catchup_->Step(batch) : 0;
 }
 
-double JanusAqp::CurrentTreeMaxVariance() const {
-  double worst = 0;
-  for (int leaf : dpt_->tree().leaves) {
-    worst = std::max(worst, dpt_->sample_index().MaxVariance(
-                                dpt_->LeafRect(leaf), opts_.focus));
-  }
-  return worst;
+double JanusAqp::LeafMaxVariance(int leaf) const {
+  return dpt_->sample_index().MaxVariance(dpt_->LeafRect(leaf), opts_.focus);
 }
 
-bool JanusAqp::FullRepartition() {
-  Timer timer;
-  PartitionResult pr =
-      OptimizePartition(reservoir_->samples(), MakeSptOptions(),
-                        table_.size());
-  if (!pr.ok) return false;
-  Timer blocking;
-  AdoptSpec(std::move(pr.spec));
-  counters_.last_blocking_seconds = blocking.ElapsedSeconds();
-  counters_.last_reopt_seconds = timer.ElapsedSeconds();
-  ++counters_.repartitions;
-  return true;
+bool JanusAqp::BeatsLiveTree(double cand_var) const {
+  double worst = 0;
+  for (int leaf : dpt_->tree().leaves) {
+    worst = std::max(worst, LeafMaxVariance(leaf));
+  }
+  return cand_var * opts_.beta < worst;
 }
 
 bool JanusAqp::PartialRepartition(int leaf) {
-  const int psi = opts_.partial_repartition_psi;
-  if (psi <= 0) return false;
   const PartitionTreeSpec& old_spec = dpt_->tree();
   // Climb psi levels (Appendix E).
   int anchor = leaf;
-  for (int i = 0; i < psi; ++i) {
+  for (int i = 0; i < opts_.partial_repartition_psi; ++i) {
     const int parent = old_spec.nodes[static_cast<size_t>(anchor)].parent;
     if (parent < 0) break;
     anchor = parent;
   }
-  if (anchor == 0) return FullRepartition();
+  if (anchor == 0) return false;  // the subtree is the whole tree
 
   // Samples and leaf budget of the anchored subtree.
   const Rectangle& region = old_spec.nodes[static_cast<size_t>(anchor)].rect;
@@ -237,17 +195,17 @@ bool JanusAqp::PartialRepartition(int leaf) {
     // Region too thin to re-optimize on its own: degrade to a full rebuild,
     // and count it — silent fallbacks hide the real cost of psi > 0.
     ++counters_.partial_repartition_fallbacks;
-    return FullRepartition();
+    return false;
   }
 
   Timer timer;
-  SptOptions sopts = MakeSptOptions();
+  SptOptions sopts = MakeSptOptions(opts_, opts_.spec);
   sopts.num_leaves = subtree_leaves;
   PartitionResult sub =
       OptimizePartition(region_samples, sopts, table_.size());
   if (!sub.ok) {
     ++counters_.partial_repartition_fallbacks;
-    return FullRepartition();
+    return false;
   }
   // Clip the sub-spec's rectangles into the anchored region.
   for (PartitionNode& n : sub.spec.nodes) {
@@ -378,14 +336,14 @@ bool JanusAqp::PartialRepartition(int leaf) {
       opts_.catchup_rate * static_cast<double>(table_.size()));
   catchup_ = std::make_unique<CatchupEngine>(
       dpt_.get(), table_.store().WithoutIndex(), goal, rng_.Next());
-  RefreshBaselines();
+  leaf_baseline_var_ = ComputeBaselines(*dpt_);
   counters_.last_reopt_seconds = timer.ElapsedSeconds();
   ++counters_.partial_repartitions;
   return true;
 }
 
 bool JanusAqp::CheckTriggers(const Tuple& t) {
-  if (!opts_.enable_triggers || !dpt_) return false;
+  if (!opts_.enable_triggers) return false;
   if (updates_since_check_.fetch_add(1) + 1 <
       opts_.trigger_check_interval) {
     return false;
@@ -393,16 +351,15 @@ bool JanusAqp::CheckTriggers(const Tuple& t) {
   updates_since_check_.store(0);
 
   bool starved = false;
-  bool drift = false;
   int leaf = -1;
-  double cur = 0;
   const Dpt* evaluated = nullptr;
   {
     // Evaluation reads the sample index and baselines, which concurrent
     // updaters mutate under update_mu_; the shared tree hold pins the
-    // synopsis pointer against a racing repartition.
+    // synopsis pointer against a racing swap.
     ReaderMutexLock tree(&tree_mu_);
     MutexLock lock(&update_mu_);
+    if (!dpt_) return false;
     evaluated = dpt_.get();
     ++counters_.trigger_checks;
     leaf = dpt_->LeafForTuple(t);
@@ -413,64 +370,49 @@ bool JanusAqp::CheckTriggers(const Tuple& t) {
     starved = si < opts_.starvation_factor * std::log2(std::max(2.0, m));
 
     // Variance drift check.
-    cur = dpt_->sample_index().MaxVariance(dpt_->LeafRect(leaf), opts_.focus);
+    const double cur = LeafMaxVariance(leaf);
     const double base = leaf_baseline_var_[static_cast<size_t>(leaf)];
-    drift = base > 0 && (cur > opts_.beta * base || cur * opts_.beta < base);
+    const bool drift =
+        base > 0 && (cur > opts_.beta * base || cur * opts_.beta < base);
 
     if (!starved && !drift) return false;
     ++counters_.trigger_fires;
-
-    if (opts_.reopt_mode == ReoptMode::kBackground) {
-      // Record the request; fires while a build is already in flight
-      // coalesce into the next pipeline run.
-      reopt_request_ = true;
-      reopt_request_starved_ = reopt_request_starved_ || starved;
-      reopt_request_drift_ = reopt_request_drift_ || (drift && !starved);
-      reopt_request_leaf_ = leaf;
-    }
+    // Record the request; fires while a run is in flight coalesce into the
+    // next one.
+    reopt_request_ = true;
+    reopt_request_starved_ = reopt_request_starved_ || starved;
+    reopt_request_drift_ = reopt_request_drift_ || (drift && !starved);
+    reopt_request_leaf_ = leaf;
   }
-  if (opts_.reopt_mode == ReoptMode::kBackground) {
-    if (reopt_notify_) reopt_notify_();
+  if (reopt_notify_) {
+    reopt_notify_();
     return false;
   }
 
-  // Blocking mode: rebuild inline. The exclusive tree hold fences the
-  // swap against concurrent appliers; if another updater repartitioned
-  // between our evaluation and this acquisition the trigger data is stale,
-  // so give up and let the next check re-evaluate the new tree.
-  WriterMutexLock tree(&tree_mu_);
-  MutexLock lock(&update_mu_);
-  if (dpt_.get() != evaluated) return false;
-
-  if (starved) {
-    if (opts_.partial_repartition_psi > 0) return PartialRepartition(leaf);
-    return FullRepartition();
+  // No owner thread: this updater runs the request. A starved leaf first
+  // tries the partial re-partition of Appendix E.
+  if (starved && opts_.partial_repartition_psi > 0) {
+    WriterMutexLock tree(&tree_mu_);
+    MutexLock lock(&update_mu_);
+    // Another updater swapped the tree since the evaluation, or has a run
+    // in flight whose adoption supersedes this fire.
+    if (dpt_.get() != evaluated || reopt_.run.active()) return false;
+    if (PartialRepartition(leaf)) {
+      ClearReoptRequest();
+      return true;
+    }
   }
-
-  // Drift: only adopt a new partitioning if it beats the current one by a
-  // factor beta (Sec. 5.4).
-  PartitionResult cand =
-      OptimizePartition(reservoir_->samples(), MakeSptOptions(),
-                        table_.size());
-  const double cand_var = cand.achieved_error * cand.achieved_error;
-  const double cur_max = CurrentTreeMaxVariance();
-  if (cand.ok && cand_var * opts_.beta < cur_max) {
-    Timer blocking;
-    AdoptSpec(std::move(cand.spec));
-    counters_.last_blocking_seconds = blocking.ElapsedSeconds();
-    ++counters_.repartitions;
-    return true;
-  }
-  // The drifted level is the new normal; avoid re-firing every check.
-  leaf_baseline_var_[static_cast<size_t>(leaf)] = cur;
-  return false;
+  return RunReoptInline();
 }
 
 void JanusAqp::Reinitialize() {
   Timer timer;
-  PartitionResult pr =
-      OptimizePartition(reservoir_->samples(), MakeSptOptions(),
-                        table_.size());
+  // Locked against a pipeline build in flight, which reads the live tree
+  // and draws from rng_ (the beta test).
+  WriterMutexLock tree(&tree_mu_);
+  MutexLock lock(&update_mu_);
+  PartitionResult pr = OptimizePartition(
+      reservoir_->samples(), MakeSptOptions(opts_, opts_.spec), table_.size());
   Timer blocking;
   AdoptSpec(std::move(pr.spec));
   counters_.last_blocking_seconds = blocking.ElapsedSeconds();
@@ -493,119 +435,72 @@ bool JanusAqp::ReoptRequested() const {
   return reopt_request_;
 }
 
-bool JanusAqp::BeginBackgroundReopt() {
-  MutexLock lock(&update_mu_);
-  if (bg_active_ || !dpt_ || !reservoir_) return false;
-  bg_ = BackgroundReopt{};
-  // Consume the pending request; with none pending this is an explicit,
-  // unconditional rebuild (the background Reinitialize analogue).
-  bg_.starved = reopt_request_ ? reopt_request_starved_ : true;
-  bg_.drift =
-      reopt_request_ && reopt_request_drift_ && !reopt_request_starved_;
-  bg_.drift_leaf = reopt_request_leaf_;
+void JanusAqp::ClearReoptRequest() {
   reopt_request_ = false;
   reopt_request_starved_ = false;
   reopt_request_drift_ = false;
   reopt_request_leaf_ = -1;
-  // T0 snapshot: pooled sample, |D|, an index-free archive copy, and the
-  // catch-up seed — drawn *now*, so the RNG stream is positioned exactly as
-  // if a blocking rebuild had adopted at this point (the equivalence
-  // contract in the header depends on this).
-  bg_.live_at_begin = dpt_.get();
-  bg_.snapshot = reservoir_->samples();
-  bg_.n0 = table_.size();
-  // Only the id order is captured here; the payload copy — tens of
-  // milliseconds at 1M rows, far too long for a hold that fences queries —
-  // is deferred to AssembleReoptArchive in stage 2.
-  bg_.t0_ids = table_.store().ids();
-  bg_.archive = std::make_unique<ColumnStore>(table_.store().schema());
-  bg_.catchup_seed = rng_.Next();
-  bg_.total.Reset();
-  bg_capture_ = true;
-  bg_active_ = true;
+}
+
+bool JanusAqp::BeginBackgroundReopt() {
+  MutexLock lock(&update_mu_);
+  return BeginReopt(/*inline_run=*/false);
+}
+
+bool JanusAqp::BeginReopt(bool inline_run) {
+  if (reopt_.run.active() || !dpt_ || !reservoir_) return false;
+  reopt_ = Reopt{};
+  // Consume the pending request; with none pending this is an explicit,
+  // unconditional rebuild.
+  reopt_.drift =
+      reopt_request_ && reopt_request_drift_ && !reopt_request_starved_;
+  reopt_.drift_leaf = reopt_request_leaf_;
+  ClearReoptRequest();
+  reopt_.inline_run = inline_run;
+  reopt_.live_at_begin = dpt_.get();
+  reopt_.run.Begin(reservoir_->samples(), table_.store());
+  // An unconditional run draws its catch-up seed now, so the RNG stream is
+  // positioned exactly as a rebuild at this point leaves it. A drift run
+  // draws it at adoption: a rejected candidate draws nothing.
+  if (!reopt_.drift) reopt_.catchup_seed = rng_.Next();
   return true;
 }
 
-void JanusAqp::AssembleReoptArchive() {
-  // Reconstruct the Begin-time archive: for every id in Begin-time order,
-  // the payload is either still live (payloads are immutable while live) or
-  // was parked in bg_.rescued by the delete that removed it. Chunked holds
-  // keep each update-mutex acquisition bounded, so concurrent inserters —
-  // who hold the update room while they wait on this mutex — never dam up
-  // the room turn long enough for queries to notice.
-  constexpr size_t kChunk = 16384;
-  bg_.archive->Reserve(bg_.t0_ids.size());
-  for (;;) {
-    std::vector<Tuple> rows;
-    rows.reserve(kChunk);
-    bool done = false;
-    {
-      MutexLock lock(&update_mu_);
-      const size_t end = std::min(bg_.copy_pos + kChunk, bg_.t0_ids.size());
-      for (size_t i = bg_.copy_pos; i < end; ++i) {
-        const uint64_t id = bg_.t0_ids[i];
-        const auto it = bg_.rescued.find(id);
-        if (it != bg_.rescued.end()) {
-          rows.push_back(it->second);
-          continue;
-        }
-        const std::optional<Tuple> live = table_.Find(id);
-        if (!live.has_value()) {
-          bg_.copy_failed = true;
-          return;
-        }
-        rows.push_back(*live);
-      }
-      bg_.copy_pos = end;
-      done = end == bg_.t0_ids.size();
-    }
-    // Only this thread touches bg_.archive between Begin and Finish; the
-    // append runs outside the lock.
-    bg_.archive->BulkAppend(rows);
-    if (done) break;
-  }
+bool JanusAqp::RunReoptInline() {
   {
-    // Assembly complete: deletes stop parking payloads (copy_pos == size
-    // turns the capture condition off); free the bookkeeping eagerly.
     MutexLock lock(&update_mu_);
-    std::vector<uint64_t>().swap(bg_.t0_ids);
-    bg_.copy_pos = 0;
-    bg_.rescued.clear();
+    // Another updater's adoption may have consumed the request already.
+    if (!reopt_request_ || !BeginReopt(/*inline_run=*/true)) return false;
   }
+  BuildBackgroundReopt();
+  return FinishBackgroundReopt();
 }
 
 void JanusAqp::BuildBackgroundReopt() {
-  if (!bg_active_) return;
-  AssembleReoptArchive();
-  if (bg_.copy_failed) return;  // build_ok stays false; Finish discards.
-  PartitionResult pr =
-      OptimizePartition(bg_.snapshot, MakeSptOptions(), bg_.n0);
-  bg_.build_ok = pr.ok;
-  if (!pr.ok) return;
-  bg_.cand_var = pr.achieved_error * pr.achieved_error;
-  bg_.side = std::make_unique<Dpt>(MakeDptOptions(), std::move(pr.spec));
-  bg_.side->InitializeFromReservoir(bg_.snapshot, bg_.n0);
-  // Baselines of the snapshot-initialized tree — what a blocking rebuild at
-  // the Begin point would compute. Doing it here keeps the per-leaf
-  // MaxVariance sweep out of the exclusive adoption step.
-  bg_.baselines = ComputeBaselines(*bg_.side);
-  // Pre-drain: keep swapping the delta buffer out (under update_mu_) and
-  // replaying it into the side tree without any lock, until the tail fits
-  // the exclusive step's budget. Rounds are bounded — a hot update stream
-  // can always outrun the drain, and the tail replay handles the rest.
-  for (int round = 0; round < 8; ++round) {
-    std::vector<ReoptDeltaOp> batch;
-    {
-      MutexLock lock(&update_mu_);
-      if (bg_.delta.size() <= opts_.reopt_delta_tail) break;
-      batch.swap(bg_.delta);
-    }
-    bg_.replayed += ReplayReoptDelta(batch, bg_.side.get());
+  Reopt& r = reopt_;
+  if (!r.run.active()) return;
+  PartitionResult pr = OptimizePartition(
+      r.run.snapshot(), MakeSptOptions(opts_, opts_.spec), r.run.n0());
+  if (!pr.ok) return;  // the run never becomes ready; Finish discards it
+  r.cand_var = pr.achieved_error * pr.achieved_error;
+  if (r.drift) {
+    // Drift requests stay conditional (Sec. 5.4). Testing before the side
+    // build means a losing candidate never pays for one.
+    ReaderMutexLock tree(&tree_mu_);
+    MutexLock lock(&update_mu_);
+    if (dpt_.get() != r.live_at_begin || !BeatsLiveTree(r.cand_var)) return;
+    r.tested_at = r.run.captured();
   }
+  // Baselines here keep the per-leaf MaxVariance sweep out of the exclusive
+  // adoption step.
+  const Dpt* side = r.run.AddSide(MakeDptOptions(), std::move(pr.spec));
+  r.baselines = ComputeBaselines(*side);
+  if (!r.run.AssembleArchive(&update_mu_, table_.store())) return;
+  r.run.PreDrain(&update_mu_, opts_.reopt_delta_tail);
 }
 
 bool JanusAqp::FinishBackgroundReopt() {
-  if (!bg_active_) return false;
+  if (!reopt_.run.active()) return false;
   // Retired state is moved aside under the locks (O(1) pointer moves) and
   // freed only after they release: destroying the old tree's sample index
   // and the old catch-up's archive snapshot costs several milliseconds at
@@ -613,88 +508,163 @@ bool JanusAqp::FinishBackgroundReopt() {
   // Declared before the lock guards so destructor order runs locks-first.
   std::unique_ptr<Dpt> retired_dpt;
   std::unique_ptr<CatchupEngine> retired_catchup;
-  BackgroundReopt retired_bg;
+  Reopt retired;
   Timer blocking;
   WriterMutexLock tree(&tree_mu_);
   MutexLock lock(&update_mu_);
-  bg_active_ = false;
-  bg_capture_ = false;
-  // A synopsis replaced by any other path mid-pipeline (explicit
-  // Reinitialize, snapshot Load) makes the side tree stale: its snapshot,
-  // delta stream and catch-up seed describe a tree that no longer exists.
-  bool adopt = bg_.build_ok && bg_.side != nullptr &&
-               dpt_.get() == bg_.live_at_begin;
-  if (adopt && bg_.drift && !bg_.starved) {
-    // Drift requests stay conditional (Sec. 5.4): adopt only if the
-    // candidate still beats the live tree — which kept absorbing updates
-    // during the build — by a factor beta.
-    const double cur_max = CurrentTreeMaxVariance();
-    if (!(bg_.cand_var * opts_.beta < cur_max)) {
-      adopt = false;
-      const int leaf = bg_.drift_leaf;
-      if (leaf >= 0 && leaf < static_cast<int>(leaf_baseline_var_.size())) {
-        // As in the blocking path: the drifted level is the new normal.
-        leaf_baseline_var_[static_cast<size_t>(leaf)] =
-            dpt_->sample_index().MaxVariance(dpt_->LeafRect(leaf),
-                                             opts_.focus);
-      }
-    }
+  retired = std::move(reopt_);
+  reopt_ = Reopt{};
+  Reopt& r = retired;
+  const bool current = dpt_.get() == r.live_at_begin;
+  bool adopt = r.run.ready() && current;
+  if (adopt && r.drift && r.run.captured() != r.tested_at) {
+    // The live tree absorbed updates since the Build-time test.
+    adopt = BeatsLiveTree(r.cand_var);
   }
   if (!adopt) {
-    ++counters_.background_discards;
-    retired_bg = std::move(bg_);
-    bg_ = BackgroundReopt{};
+    const int leaf = r.drift_leaf;
+    if (r.drift && current && leaf >= 0 &&
+        leaf < static_cast<int>(leaf_baseline_var_.size())) {
+      // The drifted level is the new normal; avoid re-firing every check.
+      leaf_baseline_var_[static_cast<size_t>(leaf)] = LeafMaxVariance(leaf);
+    }
+    if (!r.inline_run) ++counters_.background_discards;
     return false;
   }
-  // The exclusive tail: replay what the pre-drain left, swap the pointer,
-  // restart catch-up from the Begin-time archive snapshot and seed.
-  bg_.replayed += ReplayReoptDelta(bg_.delta, bg_.side.get());
+  r.run.Finish();
   retired_dpt = std::move(dpt_);
-  dpt_ = std::move(bg_.side);
+  dpt_ = r.run.TakeSide(0);
   const size_t goal = static_cast<size_t>(
-      opts_.catchup_rate * static_cast<double>(bg_.n0));
+      opts_.catchup_rate * static_cast<double>(r.run.n0()));
+  if (r.drift) r.catchup_seed = rng_.Next();
   retired_catchup = std::move(catchup_);
   catchup_ = std::make_unique<CatchupEngine>(
-      dpt_.get(), std::move(*bg_.archive), goal, bg_.catchup_seed);
-  leaf_baseline_var_ = std::move(bg_.baselines);
-  // Requests recorded while the build ran were evaluated against the tree
-  // just replaced; adoption (fresh baselines, fresh catch-up) supersedes
-  // them.
-  reopt_request_ = false;
-  reopt_request_starved_ = false;
-  reopt_request_drift_ = false;
-  reopt_request_leaf_ = -1;
-  counters_.delta_ops_replayed += bg_.replayed;
-  counters_.last_blocking_seconds = blocking.ElapsedSeconds();
-  counters_.last_reopt_seconds = bg_.total.ElapsedSeconds();
+      dpt_.get(), r.run.TakeArchive(), goal, r.catchup_seed);
+  leaf_baseline_var_ = std::move(r.baselines);
+  // Requests recorded during the run were evaluated against the tree just
+  // replaced; adoption (fresh baselines, fresh catch-up) supersedes them.
+  ClearReoptRequest();
+  counters_.delta_ops_replayed += r.run.replayed();
+  counters_.last_reopt_seconds = r.total.ElapsedSeconds();
+  counters_.last_blocking_seconds =
+      r.inline_run ? counters_.last_reopt_seconds : blocking.ElapsedSeconds();
   ++counters_.repartitions;
-  ++counters_.background_reopts;
-  retired_bg = std::move(bg_);
-  bg_ = BackgroundReopt{};
+  if (!r.inline_run) ++counters_.background_reopts;
   return true;
 }
 
-uint64_t ReplayReoptDelta(const std::vector<ReoptDeltaOp>& ops, Dpt* side) {
-  for (const ReoptDeltaOp& op : ops) {
-    switch (op.kind) {
-      case ReoptDeltaOp::Kind::kInsert:
-        side->ApplyInsert(op.t);
-        break;
-      case ReoptDeltaOp::Kind::kDelete:
-        side->ApplyDelete(op.t);
-        break;
-      case ReoptDeltaOp::Kind::kSampleAdd:
-        side->SampleAdd(op.t);
-        break;
-      case ReoptDeltaOp::Kind::kSampleRemove:
-        side->SampleRemove(op.t);
-        break;
-      case ReoptDeltaOp::Kind::kSampleReset:
-        side->ResetSamples(op.reset);
-        break;
+void ReoptRun::Begin(const std::vector<Tuple>& pool, const ColumnStore& live) {
+  active_ = true;
+  snapshot_ = pool;
+  n0_ = live.size();
+  archive_ = std::make_unique<ColumnStore>(live.schema());
+}
+
+void ReoptRun::CaptureInsert(const Tuple& t, const ReservoirChange& ch) {
+  if (ch.evicted.has_value()) {
+    delta_.push_back({DeltaOp::Kind::kSampleRemove, *ch.evicted, {}});
+  }
+  if (ch.added.has_value()) {
+    delta_.push_back({DeltaOp::Kind::kSampleAdd, *ch.added, {}});
+  }
+  delta_.push_back({DeltaOp::Kind::kInsert, t, {}});
+  ++captured_;
+}
+
+void ReoptRun::ParkRows(const ColumnStore& live, uint64_t id) {
+  if (copy_pos_ >= n0_) return;  // the archive copy is complete
+  for (const size_t p : {live.PositionOf(id), live.size() - 1}) {
+    if (p >= copy_pos_ && p < n0_) parked_.try_emplace(p, live.RowTuple(p));
+  }
+}
+
+void ReoptRun::CaptureDelete(const Tuple& t, const ReservoirChange& ch,
+                             const std::vector<Tuple>& fresh) {
+  if (ch.needs_resample) {
+    delta_.push_back({DeltaOp::Kind::kSampleReset, Tuple{}, fresh});
+  } else if (ch.evicted.has_value()) {
+    delta_.push_back({DeltaOp::Kind::kSampleRemove, *ch.evicted, {}});
+  }
+  delta_.push_back({DeltaOp::Kind::kDelete, t, {}});
+  ++captured_;
+}
+
+Dpt* ReoptRun::AddSide(const DptOptions& opts, PartitionTreeSpec spec) {
+  sides_.push_back(std::make_unique<Dpt>(opts, std::move(spec)));
+  sides_.back()->InitializeFromReservoir(snapshot_, n0_);
+  return sides_.back().get();
+}
+
+bool ReoptRun::AssembleArchive(Mutex* mu, const ColumnStore& live,
+                               size_t rows) {
+  // Chunked holds keep each acquisition of the update mutex bounded, so
+  // concurrent updaters never wait long on the copy.
+  constexpr size_t kChunk = 16384;
+  archive_->Reserve(n0_);
+  const size_t stop_at = copy_pos_ + std::min(rows, n0_ - copy_pos_);
+  while (copy_pos_ < stop_at) {
+    MutexLock lock(mu);
+    const size_t end = std::min(copy_pos_ + kChunk, stop_at);
+    // A position no delete has touched still holds its Begin-time row.
+    auto parked = parked_.begin();
+    while (copy_pos_ < end) {
+      const size_t stop =
+          parked == parked_.end() ? end : std::min(parked->first, end);
+      if (stop > copy_pos_ && stop > live.size()) return false;
+      archive_->AppendRange(live, copy_pos_, stop);
+      copy_pos_ = stop;
+      if (stop < end) {
+        archive_->BulkAppend({parked->second});
+        ++copy_pos_;
+        parked = parked_.erase(parked);
+      }
     }
   }
-  return static_cast<uint64_t>(ops.size());
+  ready_ = copy_pos_ == n0_;
+  return true;
+}
+
+void ReoptRun::PreDrain(Mutex* mu, size_t tail) {
+  for (int round = 0; round < 8; ++round) {
+    std::vector<DeltaOp> batch;
+    {
+      MutexLock lock(mu);
+      if (delta_.size() <= tail) break;
+      batch.swap(delta_);
+    }
+    Replay(batch);
+  }
+}
+
+void ReoptRun::Finish() {
+  active_ = false;
+  Replay(delta_);
+  delta_.clear();
+}
+
+void ReoptRun::Replay(const std::vector<DeltaOp>& ops) {
+  for (const std::unique_ptr<Dpt>& side : sides_) {
+    for (const DeltaOp& op : ops) {
+      switch (op.kind) {
+        case DeltaOp::Kind::kInsert:
+          side->ApplyInsert(op.t);
+          break;
+        case DeltaOp::Kind::kDelete:
+          side->ApplyDelete(op.t);
+          break;
+        case DeltaOp::Kind::kSampleAdd:
+          side->SampleAdd(op.t);
+          break;
+        case DeltaOp::Kind::kSampleRemove:
+          side->SampleRemove(op.t);
+          break;
+        case DeltaOp::Kind::kSampleReset:
+          side->ResetSamples(op.reset);
+          break;
+      }
+    }
+    replayed_ += ops.size();
+  }
 }
 
 void JanusAqp::SaveTo(persist::Writer* w) const {
@@ -726,6 +696,10 @@ void JanusAqp::SaveTo(persist::Writer* w) const {
 }
 
 void JanusAqp::LoadFrom(persist::Reader* r) {
+  // Locked against a pipeline build in flight, which reads the live table
+  // and tree; the replaced tree makes that run stale.
+  WriterMutexLock tree(&tree_mu_);
+  MutexLock lock(&update_mu_);
   table_.LoadFrom(r);
   rng_.LoadFrom(r);
 
@@ -769,55 +743,6 @@ void JanusAqp::LoadFrom(persist::Reader* r) {
   } else {
     catchup_.reset();
   }
-}
-
-void JanusAqp::BeginReinitialize() {
-  if (opt_running_) return;
-  opt_running_ = true;
-  opt_done_.store(false);
-  // The optimizer works on a snapshot of the pooled sample (Sec. 4.3 step 1
-  // runs in parallel with maintenance of the old synopsis).
-  std::vector<Tuple> snapshot;
-  {
-    MutexLock lock(&update_mu_);
-    snapshot = reservoir_->samples();
-  }
-  const size_t n = table_.size();
-  opt_thread_ = std::thread([this, snapshot = std::move(snapshot), n] {
-    opt_result_ = OptimizePartition(snapshot, MakeSptOptions(), n);
-    opt_done_.store(true);
-  });
-}
-
-bool JanusAqp::ReinitializeReady() const { return opt_done_.load(); }
-
-double JanusAqp::FinishReinitialize() {
-  if (!opt_running_) return 0;
-  opt_thread_.join();
-  opt_running_ = false;
-  Timer blocking;
-  {
-    WriterMutexLock tree(&tree_mu_);
-    MutexLock lock(&update_mu_);
-    AdoptSpec(std::move(opt_result_.spec));
-  }
-  const double secs = blocking.ElapsedSeconds();
-  counters_.last_blocking_seconds = secs;
-  // Step 4: fresh reservoir off the critical path, re-sized to the current
-  // table.
-  {
-    MutexLock lock(&update_mu_);
-    const size_t target = std::max<size_t>(
-        32, static_cast<size_t>(2.0 * opts_.sample_rate *
-                                static_cast<double>(table_.size())));
-    reservoir_ = std::make_unique<DynamicReservoir>(target, rng_.Next());
-    std::vector<Tuple> fresh =
-      table_.SampleUniform(&rng_, target, opts_.exec);
-    reservoir_->Reset(fresh);
-    dpt_->ResetSamples(fresh);
-  }
-  ++counters_.repartitions;
-  return secs;
 }
 
 void JanusAqp::CheckInvariants() const {

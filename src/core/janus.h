@@ -4,9 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/catchup.h"
@@ -23,18 +22,6 @@ namespace persist {
 class Writer;
 class Reader;
 }  // namespace persist
-
-/// How re-partitioning triggers execute (Sec. 5.4 / ROADMAP "incremental
-/// re-optimization that overlaps serving").
-enum class ReoptMode {
-  /// Rebuild inline on the update path (the paper's behavior; default).
-  /// Every fire pays the whole optimize + adopt cost under exclusion.
-  kBlocking,
-  /// A fire only records a request; an owner thread drives the three-stage
-  /// Begin/Build/FinishBackgroundReopt pipeline so the exclusive section
-  /// shrinks to a pointer swap plus a bounded delta-tail replay.
-  kBackground,
-};
 
 /// Configuration of a JanusAQP instance (Sec. 3.1 knobs plus the
 /// re-optimization parameters of Sec. 5.4).
@@ -73,35 +60,107 @@ struct JanusOptions {
   /// exact-mode initialization). Default: serial.
   scan::ExecContext exec;
   uint64_t seed = 42;
-  /// How trigger re-partitions execute (see ReoptMode). Blocking keeps the
-  /// historical inline behavior; background needs an owner thread driving
-  /// the pipeline (api/engines.cc provides one per engine).
-  ReoptMode reopt_mode = ReoptMode::kBlocking;
-  /// Background pipeline: the off-to-the-side build keeps pre-draining the
-  /// delta buffer until at most this many ops remain, bounding the replay
-  /// work left for the exclusive adoption step.
+  /// Re-optimization pipeline: the off-to-the-side build keeps pre-draining
+  /// the delta buffer until at most this many ops remain, bounding the
+  /// replay work left for the exclusive adoption step.
   size_t reopt_delta_tail = 1024;
 };
 
-/// One captured update for background re-optimization: while a side tree
-/// builds, every mutation of the live synopsis is double-applied to a buffer
-/// of these (in live order) and replayed into the side tree before adoption.
-/// Shared by JanusAqp and MultiTemplateJanus.
-struct ReoptDeltaOp {
-  enum class Kind : uint8_t {
-    kInsert,        ///< Dpt::ApplyInsert(t)
-    kDelete,        ///< Dpt::ApplyDelete(t)
-    kSampleAdd,     ///< Dpt::SampleAdd(t) — reservoir admitted t
-    kSampleRemove,  ///< Dpt::SampleRemove(t) — reservoir evicted t
-    kSampleReset,   ///< Dpt::ResetSamples(reset) — reservoir re-drawn
-  };
-  Kind kind;
-  Tuple t;
-  std::vector<Tuple> reset;
-};
+/// Optimizer options for template `spec` under the knobs of `o`.
+SptOptions MakeSptOptions(const JanusOptions& o, const SynopsisSpec& spec);
 
-/// Apply captured ops to `side` in capture order; returns how many.
-uint64_t ReplayReoptDelta(const std::vector<ReoptDeltaOp>& ops, Dpt* side);
+/// The re-optimization pipeline of Sec. 4.3, shared by JanusAqp (one side
+/// tree) and MultiTemplateJanus (one per template). One run:
+///   1. Begin snapshots the pooled sample and |D| and starts capturing: every
+///      live update from then on is recorded, in live order, next to the
+///      reservoir change it caused.
+///   2. The owner optimizes a partitioning per template on the snapshot and
+///      AddSide()s a tree populated from it; AssembleArchive copies the
+///      Begin-time archive; PreDrain replays captured updates into the side
+///      trees until a short tail remains.
+///   3. Finish replays the tail; the owner then swaps the side trees in and
+///      restarts catch-up on the archive copy.
+/// Replay keeps live op order, so an adopted side tree is bit-identical to
+/// the tree a rebuild at Begin would have produced, followed by the same
+/// updates.
+///
+/// Locking: `mu` is the owner's update mutex. Begin, the capture hooks and
+/// Finish run with it held; AssembleArchive and PreDrain take it for bounded
+/// chunks only, so stage 2 overlaps live updates. Everything else belongs to
+/// the one thread driving the run.
+class ReoptRun {
+ public:
+  /// Stage 1 (mu held, on a fresh run).
+  void Begin(const std::vector<Tuple>& pool, const ColumnStore& live);
+  /// True from Begin until the run is finished or reset.
+  bool active() const { return active_; }
+
+  /// Capture hooks (mu held, active()). ParkRows runs before `live`
+  /// swap-removes row `id`; CaptureDelete after the reservoir saw the
+  /// delete (`fresh` is the re-drawn sample when ch.needs_resample).
+  void CaptureInsert(const Tuple& t, const ReservoirChange& ch);
+  void ParkRows(const ColumnStore& live, uint64_t id);
+  void CaptureDelete(const Tuple& t, const ReservoirChange& ch,
+                     const std::vector<Tuple>& fresh);
+  /// Updates captured since Begin.
+  uint64_t captured() const { return captured_; }
+
+  /// Stage 2. A side tree over the Begin-time sample.
+  Dpt* AddSide(const DptOptions& opts, PartitionTreeSpec spec);
+  /// Copy up to `rows` more rows of the Begin-time archive, one bounded
+  /// chunk per hold of `mu`. False when `live` lost a row the copy needs
+  /// (the table was replaced mid-run).
+  bool AssembleArchive(Mutex* mu, const ColumnStore& live,
+                       size_t rows = SIZE_MAX);
+  /// Replay captured updates into every side tree until at most `tail`
+  /// remain. Bounded rounds: a hot update stream can outrun the drain.
+  void PreDrain(Mutex* mu, size_t tail);
+  /// True once the archive copy is complete: the run can be adopted.
+  bool ready() const { return ready_; }
+
+  /// Stage 3 (mu held, full exclusion): stop capturing and replay the tail.
+  void Finish();
+  std::unique_ptr<Dpt> TakeSide(size_t i) { return std::move(sides_[i]); }
+  const ColumnStore& archive() const { return *archive_; }
+  ColumnStore TakeArchive() { return std::move(*archive_); }
+
+  const std::vector<Tuple>& snapshot() const { return snapshot_; }
+  size_t n0() const { return n0_; }
+  /// Captured ops replayed into side trees (summed over trees).
+  uint64_t replayed() const { return replayed_; }
+
+ private:
+  /// One captured mutation of the live synopsis.
+  struct DeltaOp {
+    enum class Kind : uint8_t {
+      kInsert,        ///< Dpt::ApplyInsert(t)
+      kDelete,        ///< Dpt::ApplyDelete(t)
+      kSampleAdd,     ///< Dpt::SampleAdd(t) — reservoir admitted t
+      kSampleRemove,  ///< Dpt::SampleRemove(t) — reservoir evicted t
+      kSampleReset,   ///< Dpt::ResetSamples(reset) — reservoir re-drawn
+    };
+    Kind kind;
+    Tuple t;
+    std::vector<Tuple> reset;
+  };
+
+  void Replay(const std::vector<DeltaOp>& ops);
+
+  bool active_ = false;
+  bool ready_ = false;
+  std::vector<Tuple> snapshot_;  ///< pooled reservoir at Begin
+  size_t n0_ = 0;                ///< |D| at Begin
+  /// Begin-time archive rows [0, copy_pos_) copied so far. A delete moves
+  /// at most two live positions (the victim's, and the last row's into it);
+  /// those in [copy_pos_, n0_) park their Begin-time payload here first.
+  size_t copy_pos_ = 0;
+  std::map<size_t, Tuple> parked_;
+  std::unique_ptr<ColumnStore> archive_;  ///< index-free archive copy
+  std::vector<DeltaOp> delta_;
+  uint64_t captured_ = 0;
+  std::vector<std::unique_ptr<Dpt>> sides_;
+  uint64_t replayed_ = 0;
+};
 
 /// Operational counters for the experiment harnesses.
 struct JanusCounters {
@@ -115,30 +174,49 @@ struct JanusCounters {
   /// Partial re-partitions that silently degraded to a full rebuild
   /// (region too thin, single-leaf subtree, or sub-optimizer failure).
   uint64_t partial_repartition_fallbacks = 0;
-  uint64_t background_reopts = 0;    ///< adoptions via the background pipeline
-  uint64_t background_discards = 0;  ///< side builds rejected at adoption
-  uint64_t delta_ops_replayed = 0;   ///< double-applied ops replayed into side trees
-  double last_reopt_seconds = 0;   ///< last re-optimization, wall clock
-  double last_blocking_seconds = 0;  ///< blocking populate step (Sec. 4.3)
+  uint64_t background_reopts = 0;    ///< adoptions by an owner thread's runs
+  uint64_t background_discards = 0;  ///< owner-thread runs not adopted
+  uint64_t delta_ops_replayed = 0;   ///< captured ops replayed into side trees
+  double last_reopt_seconds = 0;     ///< last re-optimization, wall clock
+  /// How long the last re-optimization held updates: the whole run when the
+  /// firing updater ran it, the adoption step when an owner thread did.
+  double last_blocking_seconds = 0;
 };
 
 /// The JanusAQP system (Sec. 3): owns the evolving table (archival storage),
 /// the pooled reservoir, one DPT synopsis, the catch-up engine and the
 /// re-partitioning triggers.
 ///
+/// Every full re-optimization — a trigger fire or an explicit
+/// BeginBackgroundReopt() — runs the ReoptRun pipeline in three stages:
+///   1. BeginBackgroundReopt(): update-side exclusion. Consumes the pending
+///      trigger request, snapshots the pooled sample and |D| and starts
+///      capturing updates. An unconditional run draws its catch-up seed here.
+///   2. BuildBackgroundReopt(): no exclusion. Optimizes the partitioning on
+///      the snapshot. A drift request then runs the beta test of Sec. 5.4
+///      against the live tree and stops if the candidate does not win.
+///      Then builds the side tree, copies the Begin-time archive and
+///      pre-drains the capture down to reopt_delta_tail ops.
+///   3. FinishBackgroundReopt(): full exclusion. Re-runs the beta test if
+///      updates arrived since, replays the tail, swaps the synopsis pointer
+///      and restarts catch-up on the archive copy. A drift run draws its
+///      catch-up seed here, so a rejected candidate draws nothing.
+/// Two drivers run the stages. By default the updater whose trigger fired
+/// runs them back to back on its own thread. When an owner registered a
+/// hook with SetReoptNotify(), a fire only records the request and calls the
+/// hook; the owner (the engine's maintenance thread in api/engines.cc, or a
+/// test) runs the stages while updates and queries continue.
+///
 /// Thread-safety: Insert()/Delete() may be called from multiple threads
-/// concurrently (per-leaf statistics locks plus a reservoir/table mutex);
-/// blocking-mode trigger repartitions synchronize with concurrent updaters
-/// through tree_mu_ (the synopsis pointer is only replaced under its
-/// exclusive hold, and every applier pins it shared). Query() and the
-/// explicit re-optimization entry points must be externally quiesced,
-/// exactly as the experiment drivers and the api/ engine rooms do;
-/// FinishBackgroundReopt() additionally requires full exclusion (see the
-/// pipeline contract below).
+/// concurrently (per-leaf statistics locks plus a reservoir/table mutex).
+/// Each holds tree_mu_ shared for its whole table change and tree apply, and
+/// a synopsis swap holds it exclusively, so no update straddles a swap.
+/// Query() and the explicit re-optimization entry points must be externally
+/// quiesced, exactly as the experiment drivers and the api/ engine rooms do;
+/// FinishBackgroundReopt() additionally requires full exclusion.
 class JanusAqp {
  public:
   explicit JanusAqp(const JanusOptions& opts);
-  ~JanusAqp();
 
   /// Bulk-load initial (historical) data without per-update overhead.
   void LoadInitial(const std::vector<Tuple>& rows);
@@ -161,73 +239,37 @@ class JanusAqp {
   size_t StepCatchup(size_t batch);
 
   /// Full re-optimization (Sec. 4.3): optimize partitioning on the pooled
-  /// reservoir, blocking-populate the new synopsis, re-sample the reservoir
-  /// from the archive and restart catch-up. Sequential variant.
+  /// reservoir, populate the new synopsis, re-sample the reservoir from the
+  /// archive and restart catch-up. Synchronous; a pipeline run in flight
+  /// becomes stale and is discarded at its Finish.
   void Reinitialize();
 
-  /// Concurrent variant: runs the optimization phase on a worker thread
-  /// while the old synopsis keeps absorbing updates; FinishReinitialize()
-  /// performs only the short blocking step (Sec. 4.3, Fig. 4).
-  void BeginReinitialize();
-  bool ReinitializeReady() const;
-  /// Blocks until the optimizer is done, then swaps synopses. Returns the
-  /// duration of the blocking step.
-  double FinishReinitialize();
-
   /// Trigger evaluation for the leaf of `t` (Sec. 5.4); called internally by
-  /// Insert/Delete, public for tests. Returns true if a re-partition ran.
-  /// In background mode a fire never runs inline: it records a request
-  /// (ReoptRequested()), calls the notify hook, and returns false.
+  /// Insert/Delete, public for tests. A fire records a re-optimization
+  /// request. With a notify hook set it calls the hook and returns false;
+  /// otherwise it runs the request now (a partial re-partition first when
+  /// psi > 0, else the pipeline) and returns true if a tree was adopted.
   bool CheckTriggers(const Tuple& t);
 
-  // --- Background re-optimization (three-stage pipeline) -------------------
-  //
-  // With reopt_mode = kBackground an owner thread — the engine's maintenance
-  // thread in api/engines.cc, or a test driving the stages synchronously —
-  // consumes trigger requests by running:
-  //   1. BeginBackgroundReopt():  update-side exclusion only. Snapshots the
-  //      pooled reservoir and the archive's id order (NOT the row payloads —
-  //      an O(ids) copy, so queries fenced behind the update room wait
-  //      microseconds-to-low-ms, never the tens of ms a full archive copy
-  //      costs at 1M rows), pre-draws the catch-up seed (so the RNG stream
-  //      matches a blocking rebuild at the snapshot point exactly), and
-  //      starts double-applying updates to a delta buffer.
-  //   2. BuildBackgroundReopt():  no exclusion. First assembles the archive
-  //      snapshot in short update-mutex chunks (deletes that race the
-  //      assembly park the dying row's snapshot-time payload in a rescue
-  //      map, so the result is bit-identical — same rows, same order — to
-  //      the one-shot copy stage 1 used to take), then optimizes the
-  //      partition, builds and populates the side DPT, and pre-drains the
-  //      delta buffer down to reopt_delta_tail ops while updates keep
-  //      flowing.
-  //   3. FinishBackgroundReopt(): full exclusion (the engine's exclusive
-  //      room). Replays the delta tail, applies the drift-adoption
-  //      condition, swaps the synopsis pointer and restarts catch-up.
-  //
-  // Adoption contract: the adopted tree is bit-identical to the tree a
-  // *blocking* re-optimization at the Begin() snapshot would have produced,
-  // followed by the same update stream — the delta replay preserves live op
-  // order, and the catch-up engine gets the same seed, archive snapshot and
-  // goal as the blocking path would have drawn at that moment.
-
-  /// True when a background-mode trigger fire is waiting for a pipeline run.
+  /// True when a trigger fire is waiting for a pipeline run.
   bool ReoptRequested() const;
-  /// Stage 1. Returns false when a pipeline is already active or the
-  /// instance is uninitialized. Called with update-side exclusion (an
-  /// update-room hold, or a quiesced instance); a call with no pending
-  /// request starts an unconditional rebuild (the Reinitialize analogue).
+  /// Stage 1. Returns false when a run is already active or the instance is
+  /// uninitialized. Called with update-side exclusion (an update-room hold,
+  /// or a quiesced instance); a call with no pending request starts an
+  /// unconditional rebuild.
   bool BeginBackgroundReopt();
   /// Stage 2. Runs concurrently with queries and updates; no exclusion.
   void BuildBackgroundReopt();
   /// Stage 3. Requires full exclusion (exclusive room / quiesced). Returns
-  /// true when the side tree was adopted, false when it was discarded
-  /// (failed build, or a drift candidate that no longer beats the live
-  /// tree by beta).
+  /// true when the side tree was adopted, false when the run was discarded
+  /// (failed build, stale snapshot, or a drift candidate that does not beat
+  /// the live tree by beta).
   bool FinishBackgroundReopt();
   /// True between a successful Begin and the matching Finish.
-  bool BackgroundReoptActive() const { return bg_active_; }
-  /// Hook invoked (outside all locks) whenever a background-mode trigger
-  /// records a request; the engine points this at its maintenance-thread
+  bool BackgroundReoptActive() const { return reopt_.run.active(); }
+  /// Register the owner of the pipeline: from now on a trigger fire records
+  /// its request and calls `fn` (outside all locks) instead of running the
+  /// stages itself. The engine points this at its maintenance-thread
   /// wakeup. Set before concurrent use.
   void SetReoptNotify(std::function<void()> fn) {
     reopt_notify_ = std::move(fn);
@@ -266,64 +308,48 @@ class JanusAqp {
   }
 
  private:
-  /// State of one pipeline run. Owned by the orchestrator thread driving
-  /// Begin/Build/Finish; only `delta` is shared (appended by updaters under
-  /// update_mu_, drained by the build under the same lock).
-  struct BackgroundReopt {
-    bool starved = false;  ///< unconditional adoption
-    bool drift = false;    ///< conditional adoption (beta test at Finish)
-    int drift_leaf = -1;   ///< leaf whose baseline absorbs a discard
-    /// The live synopsis at Begin; if it was replaced mid-pipeline by any
-    /// other path (an explicit Reinitialize, a snapshot Load) the side tree
-    /// is stale and Finish discards it instead of adopting.
+  /// One pipeline run: the shared ReoptRun plus what JanusAqp's adoption
+  /// decides on. Owned by the thread driving the run, except the run's
+  /// capture state (update_mu_).
+  struct Reopt {
+    ReoptRun run;
+    bool drift = false;       ///< conditional adoption (beta test)
+    int drift_leaf = -1;      ///< leaf whose baseline absorbs a discard
+    bool inline_run = false;  ///< run by the firing updater, not an owner
+    /// The live synopsis at Begin; if any other path (an explicit
+    /// Reinitialize, a partial re-partition, a snapshot Load) replaced it
+    /// mid-run, the side tree is stale and Finish discards it.
     const Dpt* live_at_begin = nullptr;
-    std::vector<Tuple> snapshot;  ///< pooled reservoir at Begin
-    size_t n0 = 0;                ///< |D| at Begin
-    /// Archive row ids in Begin-time order. The payload copy is deferred to
-    /// Build (AssembleReoptArchive), which reconstructs the Begin-time
-    /// archive — identical rows in identical order — without ever holding
-    /// the update mutex for more than one chunk.
-    std::vector<uint64_t> t0_ids;
-    /// Begin-time payloads of rows deleted before the assembly reached
-    /// them. emplace() keeps the first (= snapshot-time) payload even if an
-    /// id is deleted, re-inserted and deleted again mid-assembly.
-    std::unordered_map<uint64_t, Tuple> rescued;
-    size_t copy_pos = 0;      ///< t0_ids assembled so far
-    bool copy_failed = false; ///< archive vanished mid-assembly (e.g. Load)
-    std::unique_ptr<ColumnStore> archive;  ///< index-free archive copy
     uint64_t catchup_seed = 0;
-    std::vector<ReoptDeltaOp> delta;
-    std::unique_ptr<Dpt> side;
-    double cand_var = 0;   ///< side tree's achieved_error^2
-    /// Trigger baselines of the snapshot-initialized side tree, computed in
-    /// Build (off the exclusive path — MaxVariance over every leaf is the
-    /// expensive part of adoption) and installed verbatim at Finish. This is
-    /// exactly what a blocking rebuild at the Begin point computes: baselines
-    /// are a function of the reservoir-initialized tree, not of the delta
-    /// ops replayed after it.
+    double cand_var = 0;     ///< candidate's achieved_error^2
+    uint64_t tested_at = 0;  ///< run.captured() at the Build-time beta test
+    /// Trigger baselines of the snapshot-initialized side tree — what a
+    /// rebuild at Begin computes; installed verbatim at Finish.
     std::vector<double> baselines;
-    bool build_ok = false;
-    uint64_t replayed = 0;  ///< ops drained into the side tree pre-adoption
-    Timer total;            ///< Begin -> adoption wall clock
+    Timer total;  ///< Begin -> adoption wall clock
   };
 
-  /// Stage-2 helper: materialize bg_.archive from bg_.t0_ids + the live
-  /// store + bg_.rescued, in bounded update-mutex holds. Sets
-  /// bg_.copy_failed (and leaves build_ok false) if a row can no longer be
-  /// resolved — only possible when another path replaced the table
-  /// mid-pipeline, which Finish independently detects and discards.
-  void AssembleReoptArchive();
   DptOptions MakeDptOptions() const;
-  SptOptions MakeSptOptions() const;
   /// Build a synopsis from the given spec, populate from the pooled
   /// reservoir, restart catch-up, refresh trigger baselines.
   void AdoptSpec(PartitionTreeSpec spec);
-  void RefreshBaselines();
   /// Per-leaf MaxVariance baselines for an arbitrary (possibly side) tree.
   std::vector<double> ComputeBaselines(const Dpt& dpt) const;
-  double CurrentTreeMaxVariance() const;
-  bool FullRepartition();
+  double LeafMaxVariance(int leaf) const;
+  /// The beta test of Sec. 5.4: the candidate beats the live tree's worst
+  /// leaf by a factor beta. Tree and update locks held.
+  bool BeatsLiveTree(double cand_var) const;
+  /// Appendix E: rebuild only the subtree psi levels above `leaf`. Returns
+  /// false when the region calls for a full rebuild instead. Tree and update
+  /// locks held.
   bool PartialRepartition(int leaf);
+  /// Stage 1 with update_mu_ held.
+  bool BeginReopt(bool inline_run);
+  /// All three stages back to back on the calling updater, for a pending
+  /// request. Returns true if the side tree was adopted.
+  bool RunReoptInline();
+  /// Drop the pending trigger request (update_mu_ held).
+  void ClearReoptRequest();
 
   JanusOptions opts_;
   DynamicTable table_;
@@ -344,32 +370,21 @@ class JanusAqp {
   /// only, per the class thread-safety contract above.
   mutable Mutex update_mu_;
 
-  /// Guards the dpt_/catchup_ *pointers* against a repartition swap racing
-  /// the update path: ApplyInsert/ApplyDelete and catch-up steps hold it
-  /// shared, any code path that replaces the synopsis (blocking trigger
-  /// repartitions, background adoption) holds it exclusively. Lock order:
-  /// tree_mu_ before update_mu_, never the reverse (Insert/Delete release
-  /// update_mu_ before touching the tree).
+  /// Guards the dpt_/catchup_ *pointers* against a swap racing the update
+  /// path: Insert/Delete (whole op) and catch-up steps hold it shared, any
+  /// code path that replaces the synopsis holds it exclusively. Lock order:
+  /// tree_mu_ before update_mu_, never the reverse.
   mutable SharedMutex tree_mu_;
 
-  // Background re-optimization state. The request flags and bg_capture_
-  // are guarded by update_mu_ (set by CheckTriggers / the pipeline, read by
-  // the capture sites in Insert/Delete); bg_ itself belongs to the single
-  // orchestrator thread, except bg_.delta (update_mu_, see above).
+  // Re-optimization state. The request fields are guarded by update_mu_
+  // (set by CheckTriggers, consumed by Begin); reopt_ belongs to the thread
+  // driving the run, except its capture state (update_mu_, see ReoptRun).
   bool reopt_request_ = false;
   bool reopt_request_starved_ = false;
   bool reopt_request_drift_ = false;
   int reopt_request_leaf_ = -1;
-  bool bg_capture_ = false;
-  bool bg_active_ = false;
-  BackgroundReopt bg_;
+  Reopt reopt_;
   std::function<void()> reopt_notify_;
-
-  // Concurrent re-initialization state.
-  std::thread opt_thread_;
-  std::atomic<bool> opt_done_{false};
-  bool opt_running_ = false;
-  PartitionResult opt_result_;
 };
 
 }  // namespace janus

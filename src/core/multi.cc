@@ -34,22 +34,6 @@ int MultiTemplateJanus::AddTemplate(const SynopsisSpec& spec) {
   return idx;
 }
 
-SptOptions MultiTemplateJanus::MakeSptOptions(const SynopsisSpec& spec) const {
-  SptOptions s;
-  s.spec = spec;
-  s.num_leaves = base_.num_leaves;
-  s.focus = base_.focus;
-  s.sample_rate = base_.sample_rate;
-  s.algorithm = base_.algorithm;
-  s.rho = base_.rho;
-  s.delta = base_.delta;
-  s.minmax_k = base_.minmax_k;
-  s.confidence = base_.confidence;
-  s.seed = base_.seed;
-  s.exec = base_.exec;
-  return s;
-}
-
 DptOptions MultiTemplateJanus::MakeDptOptions(const SynopsisSpec& spec) const {
   DptOptions dopts;
   dopts.spec = spec;
@@ -63,7 +47,7 @@ DptOptions MultiTemplateJanus::MakeDptOptions(const SynopsisSpec& spec) const {
 
 void MultiTemplateJanus::BuildEntry(Entry* entry) {
   PartitionResult pr = OptimizePartition(reservoir_->samples(),
-                                         MakeSptOptions(entry->spec),
+                                         MakeSptOptions(base_, entry->spec),
                                          table_.size());
   entry->dpt = std::make_unique<Dpt>(MakeDptOptions(entry->spec),
                                      std::move(pr.spec));
@@ -89,21 +73,12 @@ void MultiTemplateJanus::Initialize() {
 }
 
 void MultiTemplateJanus::Insert(const Tuple& t) {
+  MutexLock lock(&update_mu_);
   table_.Insert(t);
   // One global reservoir decision shared by every tree (Sec. 5.5: the set S
   // is stored once; each tree only indexes it).
-  ReservoirChange ch = reservoir_->OnInsert(t, table_.size());
-  if (bg_capture_) {
-    // Double-apply: one shared op stream, replayed into every side tree in
-    // the same per-tree order as the live application below.
-    if (ch.evicted.has_value()) {
-      Capture({ReoptDeltaOp::Kind::kSampleRemove, *ch.evicted, {}});
-    }
-    if (ch.added.has_value()) {
-      Capture({ReoptDeltaOp::Kind::kSampleAdd, *ch.added, {}});
-    }
-    Capture({ReoptDeltaOp::Kind::kInsert, t, {}});
-  }
+  const ReservoirChange ch = reservoir_->OnInsert(t, table_.size());
+  if (run_.active()) run_.CaptureInsert(t, ch);
   for (Entry& entry : entries_) {
     if (ch.evicted.has_value()) entry.dpt->SampleRemove(*ch.evicted);
     if (ch.added.has_value()) entry.dpt->SampleAdd(*ch.added);
@@ -112,24 +87,19 @@ void MultiTemplateJanus::Insert(const Tuple& t) {
 }
 
 bool MultiTemplateJanus::Delete(uint64_t id) {
+  MutexLock lock(&update_mu_);
   const std::optional<Tuple> p = table_.Find(id);
   if (!p.has_value()) return false;
   const Tuple t = *p;
+  if (run_.active()) run_.ParkRows(table_.store(), id);
   table_.Delete(id);
-  ReservoirChange ch = reservoir_->OnDelete(id);
+  const ReservoirChange ch = reservoir_->OnDelete(id);
   std::vector<Tuple> fresh;
   if (ch.needs_resample) {
     fresh = table_.SampleUniform(&rng_, reservoir_->capacity(), base_.exec);
     reservoir_->Reset(fresh);
   }
-  if (bg_capture_) {
-    if (ch.needs_resample) {
-      Capture({ReoptDeltaOp::Kind::kSampleReset, Tuple{}, fresh});
-    } else if (ch.evicted.has_value()) {
-      Capture({ReoptDeltaOp::Kind::kSampleRemove, *ch.evicted, {}});
-    }
-    Capture({ReoptDeltaOp::Kind::kDelete, t, {}});
-  }
+  if (run_.active()) run_.CaptureDelete(t, ch, fresh);
   for (Entry& entry : entries_) {
     if (ch.needs_resample) {
       entry.dpt->ResetSamples(fresh);
@@ -161,89 +131,61 @@ void MultiTemplateJanus::RunCatchupToGoal() {
   }
 }
 
-void MultiTemplateJanus::Rebuild() {
-  if (!initialized_) return;
-  for (Entry& entry : entries_) BuildEntry(&entry);
-}
-
-void MultiTemplateJanus::Capture(ReoptDeltaOp op) {
-  MutexLock lock(&delta_mu_);
-  bg_.delta.push_back(std::move(op));
+bool MultiTemplateJanus::Rebuild() {
+  if (!BeginBackgroundRebuild()) return false;
+  BuildBackgroundRebuild();
+  return FinishBackgroundRebuild();
 }
 
 bool MultiTemplateJanus::BeginBackgroundRebuild() {
-  if (bg_active_ || !initialized_ || !reservoir_) return false;
-  bg_ = BackgroundRebuild{};
-  bg_.snapshot = reservoir_->samples();
-  bg_.n0 = table_.size();
-  bg_.archive = std::make_unique<ColumnStore>(table_.store().WithoutIndex());
-  const size_t n = entries_.size();
-  bg_.specs.reserve(n);
-  bg_.seeds.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    bg_.specs.push_back(entries_[i].spec);
-    // Entry-order draws — exactly the Next() calls a blocking Rebuild()
-    // would make now, so the RNG stream stays aligned with the blocking
-    // path (the equivalence contract).
-    bg_.seeds.push_back(rng_.Next());
+  MutexLock lock(&update_mu_);
+  if (run_.active() || !initialized_ || !reservoir_) return false;
+  run_ = ReoptRun{};
+  run_.Begin(reservoir_->samples(), table_.store());
+  run_specs_.clear();
+  run_seeds_.clear();
+  run_specs_.reserve(entries_.size());
+  run_seeds_.reserve(entries_.size());
+  for (const Entry& e : entries_) {
+    run_specs_.push_back(e.spec);
+    // Entry-order draws — exactly the Next() calls a rebuild at Begin would
+    // make, so the RNG stream stays aligned with it.
+    run_seeds_.push_back(rng_.Next());
   }
-  bg_.sides.resize(n);
-  {
-    MutexLock lock(&delta_mu_);
-    bg_capture_ = true;
-  }
-  bg_active_ = true;
   return true;
 }
 
 void MultiTemplateJanus::BuildBackgroundRebuild() {
-  if (!bg_active_) return;
-  for (size_t i = 0; i < bg_.specs.size(); ++i) {
+  if (!run_.active()) return;
+  for (const SynopsisSpec& spec : run_specs_) {
     PartitionResult pr = OptimizePartition(
-        bg_.snapshot, MakeSptOptions(bg_.specs[i]), bg_.n0);
-    bg_.sides[i] = std::make_unique<Dpt>(MakeDptOptions(bg_.specs[i]),
-                                         std::move(pr.spec));
-    bg_.sides[i]->InitializeFromReservoir(bg_.snapshot, bg_.n0);
+        run_.snapshot(), MakeSptOptions(base_, spec), run_.n0());
+    run_.AddSide(MakeDptOptions(spec), std::move(pr.spec));
   }
-  // Pre-drain the shared delta while updates keep flowing, leaving only a
-  // bounded tail for the exclusive adoption step (see core/janus.cc for the
-  // single-tree variant of the same loop).
-  for (int round = 0; round < 8; ++round) {
-    std::vector<ReoptDeltaOp> batch;
-    {
-      MutexLock lock(&delta_mu_);
-      if (bg_.delta.size() <= base_.reopt_delta_tail) break;
-      batch.swap(bg_.delta);
-    }
-    for (std::unique_ptr<Dpt>& side : bg_.sides) {
-      bg_.replayed += ReplayReoptDelta(batch, side.get());
-    }
-  }
+  if (!run_.AssembleArchive(&update_mu_, table_.store())) return;
+  run_.PreDrain(&update_mu_, base_.reopt_delta_tail);
 }
 
 bool MultiTemplateJanus::FinishBackgroundRebuild(uint64_t* replayed) {
-  if (!bg_active_) return false;
-  {
-    MutexLock lock(&delta_mu_);
-    bg_capture_ = false;
+  MutexLock lock(&update_mu_);
+  if (!run_.ready()) {
+    run_ = ReoptRun{};
+    return false;
   }
-  bg_active_ = false;
-  for (std::unique_ptr<Dpt>& side : bg_.sides) {
-    bg_.replayed += ReplayReoptDelta(bg_.delta, side.get());
-  }
+  run_.Finish();
   const size_t goal = static_cast<size_t>(
-      base_.catchup_rate * static_cast<double>(bg_.n0));
+      base_.catchup_rate * static_cast<double>(run_.n0()));
   // Swap only the templates that existed at Begin; later discoveries built
   // live trees from the current reservoir and need no replacement. Entry
   // indices are stable — discovery only appends.
-  for (size_t i = 0; i < bg_.sides.size(); ++i) {
+  for (size_t i = 0; i < run_specs_.size(); ++i) {
     Entry& e = entries_[i];
-    e.dpt = std::move(bg_.sides[i]);
+    e.dpt = run_.TakeSide(i);
     e.catchup = std::make_unique<CatchupEngine>(
-        e.dpt.get(), bg_.archive->WithoutIndex(), goal, bg_.seeds[i]);
+        e.dpt.get(), run_.archive().WithoutIndex(), goal, run_seeds_[i]);
   }
-  if (replayed != nullptr) *replayed = bg_.replayed;
-  bg_ = BackgroundRebuild{};
+  if (replayed != nullptr) *replayed = run_.replayed();
+  run_ = ReoptRun{};
   return true;
 }
 
@@ -265,6 +207,8 @@ void MultiTemplateJanus::SaveTo(persist::Writer* w) const {
 }
 
 void MultiTemplateJanus::LoadFrom(persist::Reader* r) {
+  // Locked against a pipeline build in flight, which reads the live table.
+  MutexLock lock(&update_mu_);
   table_.LoadFrom(r);
   rng_.LoadFrom(r);
   initialized_ = r->Bool();

@@ -54,38 +54,35 @@ class MultiTemplateJanus {
   void RunCatchupToGoal();
 
   /// Rebuild every template's tree and catch-up engine from the current
-  /// pooled reservoir and archive — the blocking re-optimization analogue
-  /// of JanusAqp::Reinitialize. No-op before Initialize().
-  void Rebuild();
+  /// pooled reservoir and archive (the analogue of JanusAqp::Reinitialize):
+  /// the three pipeline stages back to back. Returns true when the rebuilt
+  /// trees were adopted; false before Initialize() or with a run in flight.
+  bool Rebuild();
 
-  // --- Background rebuild (three-stage pipeline) ----------------------------
+  // --- Re-optimization pipeline (ReoptRun in core/janus.h) -----------------
   //
-  // The multi-template version of JanusAqp's pipeline (see core/janus.h for
-  // the staging and adoption contract): Begin() snapshots the pooled sample,
-  // the archive, the registered specs and one pre-drawn catch-up seed per
-  // template (entry order — the same draws a blocking Rebuild() would make),
-  // Build() optimizes and populates one side tree per snapshotted template
-  // with no exclusion, Finish() replays the delta tail into every side tree
-  // and swaps them in. Updates arriving mid-pipeline are double-applied to
-  // one shared delta buffer (its own mutex — the only state the build thread
-  // and the update path share). Templates discovered *during* the build are
+  // Begin() snapshots the pooled sample and |D|, the registered specs and
+  // one pre-drawn catch-up seed per template (entry order — the same draws
+  // a rebuild at Begin would make). Build() optimizes and populates one side
+  // tree per snapshotted template and copies the archive, while updates are
+  // captured under update_mu_. Finish() replays the capture tail into every
+  // side tree and swaps them in. Templates discovered *during* the build are
   // not swapped: their live trees were built from the current reservoir and
   // absorbed every later update already.
   //
   // Begin and Finish require full exclusion (the engine's exclusive room);
   // Build runs concurrently with queries and updates.
 
-  /// Stage 1. Returns false when a pipeline is already active or the
-  /// instance is uninitialized.
+  /// Stage 1. Returns false when a run is already active or the instance is
+  /// uninitialized.
   bool BeginBackgroundRebuild();
-  /// Stage 2. No exclusion; touches only the Begin() snapshot and the
-  /// delta buffer.
+  /// Stage 2. No exclusion.
   void BuildBackgroundRebuild();
   /// Stage 3. Returns true when the side trees were adopted. `replayed`
   /// (optional) receives the total delta applications across side trees.
   bool FinishBackgroundRebuild(uint64_t* replayed = nullptr);
   /// True between a successful Begin and the matching Finish.
-  bool BackgroundRebuildActive() const { return bg_active_; }
+  bool BackgroundRebuildActive() const { return run_.active(); }
 
   size_t num_templates() const { return entries_.size(); }
   const Dpt& dpt(int i) const { return *entries_[static_cast<size_t>(i)].dpt; }
@@ -108,25 +105,8 @@ class MultiTemplateJanus {
     std::unique_ptr<CatchupEngine> catchup;
   };
 
-  /// One pipeline run. Everything except `delta` is written at Begin under
-  /// full exclusion and then owned by the single build thread; `delta` is
-  /// shared with the update path under delta_mu_.
-  struct BackgroundRebuild {
-    std::vector<Tuple> snapshot;  ///< pooled reservoir at Begin
-    size_t n0 = 0;                ///< |D| at Begin
-    std::unique_ptr<ColumnStore> archive;  ///< index-free archive copy
-    std::vector<SynopsisSpec> specs;       ///< specs of entries_[0..n) at Begin
-    std::vector<uint64_t> seeds;           ///< per-template catch-up seeds
-    std::vector<std::unique_ptr<Dpt>> sides;
-    std::vector<ReoptDeltaOp> delta;
-    uint64_t replayed = 0;
-  };
-
-  SptOptions MakeSptOptions(const SynopsisSpec& spec) const;
   DptOptions MakeDptOptions(const SynopsisSpec& spec) const;
   void BuildEntry(Entry* entry);
-  /// Append one captured op to the shared delta when a pipeline is active.
-  void Capture(ReoptDeltaOp op);
 
   JanusOptions base_;
   DynamicTable table_;
@@ -135,12 +115,14 @@ class MultiTemplateJanus {
   Rng rng_;
   bool initialized_ = false;
 
-  /// Guards bg_.delta and bg_capture_ — the only state the background build
-  /// thread shares with the (externally serialized) update path.
-  mutable Mutex delta_mu_;
-  bool bg_capture_ = false;
-  bool bg_active_ = false;
-  BackgroundRebuild bg_;
+  /// Serializes Insert/Delete (already serialized by the caller) with the
+  /// pipeline build's chunked archive copy and capture drain.
+  Mutex update_mu_;
+  /// The pipeline run, the specs of the templates registered at its Begin
+  /// and their pre-drawn catch-up seeds.
+  ReoptRun run_;
+  std::vector<SynopsisSpec> run_specs_;
+  std::vector<uint64_t> run_seeds_;
 };
 
 }  // namespace janus

@@ -31,7 +31,6 @@ ColumnStore::ColumnStore(int num_columns)
 void ColumnStore::Reserve(size_t rows) {
   for (auto& col : columns_) col.reserve(rows);
   ids_.reserve(rows);
-  index_.reserve(rows);
 }
 
 void ColumnStore::Insert(const Tuple& t) {
@@ -51,6 +50,19 @@ void ColumnStore::BulkAppend(const std::vector<Tuple>& rows) {
     for (size_t c = 0; c < columns_.size(); ++c) {
       columns_[c].push_back(t.values[c]);
     }
+  }
+  indexed_ = false;
+}
+
+void ColumnStore::AppendRange(const ColumnStore& src, size_t begin,
+                              size_t end) {
+  assert(src.columns_.size() == columns_.size() && end <= src.size());
+  const auto b = static_cast<std::ptrdiff_t>(begin);
+  const auto e = static_cast<std::ptrdiff_t>(end);
+  ids_.insert(ids_.end(), src.ids_.begin() + b, src.ids_.begin() + e);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const std::vector<double>& from = src.columns_[c];
+    columns_[c].insert(columns_[c].end(), from.begin() + b, from.begin() + e);
   }
   indexed_ = false;
 }

@@ -52,6 +52,8 @@ class ColumnStore {
   size_t size() const { return ids_.size(); }
   bool empty() const { return ids_.empty(); }
 
+  /// Room for `rows` rows in the columns and the id column. The id index is
+  /// sized when it is (re)built.
   void Reserve(size_t rows);
 
   /// Insert a tuple. Ids must be unique among live rows.
@@ -62,6 +64,10 @@ class ColumnStore {
   /// of a bulk load). The index is rebuilt lazily by the first id lookup
   /// (Find/Contains/PositionOf/Delete/Insert).
   void BulkAppend(const std::vector<Tuple>& rows);
+
+  /// Append rows [begin, end) of `src` (same schema) in position order,
+  /// index-free like BulkAppend.
+  void AppendRange(const ColumnStore& src, size_t begin, size_t end);
 
   /// Copy of this store carrying only the columns and ids (snapshots that
   /// only scan or sample never pay for the id index).

@@ -81,15 +81,11 @@ class SectionParser {
     known_.insert(key);
     if (!args_.Has(key)) return def;
     const std::string name = args_.GetString(key, "");
-    // ParseAggFunc falls back to its default on unknown names; parsing
-    // against two different defaults separates "valid name" (both calls
-    // agree) from "unknown name" (each call returns its own default).
-    const AggFunc a = ParseAggFunc(name, AggFunc::kSum);
-    const AggFunc b = ParseAggFunc(name, AggFunc::kCount);
-    if (a != b) {
+    const std::optional<AggFunc> f = ParseAggFunc(name);
+    if (!f.has_value()) {
       Fail("key '" + key + "' names an unknown aggregate '" + name + "'");
     }
-    return a;
+    return *f;
   }
 
   /// Distribution family under `prefix`: <prefix>_dist picks the kind, the

@@ -18,6 +18,7 @@
 #include "api/config.h"
 #include "api/driver.h"
 #include "api/engine.h"
+#include "api/error.h"
 #include "api/registry.h"
 #include "data/generators.h"
 #include "data/ground_truth.h"
@@ -611,6 +612,50 @@ TEST(EngineConfigTest, FromArgsParsesEveryKnob) {
   EXPECT_FALSE(cfg.enable_triggers);
   EXPECT_EQ(cfg.seed, 9u);
   EXPECT_NE(cfg.ToString().find("engine=spt"), std::string::npos);
+}
+
+/// FromArgs on one `key=value` flag must throw kInvalidArgument naming both.
+void ExpectRejectedValue(const char* key, const char* value) {
+  const std::string flag = std::string(key) + "=" + value;
+  const char* argv[] = {"prog", flag.c_str()};
+  ArgMap args(2, const_cast<char**>(argv));
+  try {
+    (void)EngineConfig::FromArgs(args);
+    ADD_FAILURE() << flag << " was accepted";
+  } catch (const ApiException& e) {
+    EXPECT_EQ(e.code(), ApiErrorCode::kInvalidArgument) << flag;
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find(value), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(EngineConfigTest, FromArgsRejectsUnknownFocus) {
+  ExpectRejectedValue("focus", "summ");
+}
+
+TEST(EngineConfigTest, FromArgsRejectsUnknownAlgorithm) {
+  ExpectRejectedValue("algorithm", "dpp");
+}
+
+TEST(EngineConfigTest, FromArgsRejectsUnknownReoptMode) {
+  ExpectRejectedValue("reopt_mode", "backgroud");
+}
+
+TEST(EngineConfigTest, EngineRejectsUnknownReoptModeSetInCode) {
+  for (const char* engine : {"janus", "multi", "sharded:janus"}) {
+    EngineConfig cfg;
+    cfg.engine = engine;
+    cfg.reopt_mode = "backgroud";
+    try {
+      (void)EngineRegistry::Create(cfg);
+      ADD_FAILURE() << engine << " accepted reopt_mode=backgroud";
+    } catch (const ApiException& e) {
+      EXPECT_EQ(e.code(), ApiErrorCode::kInvalidArgument) << engine;
+      EXPECT_NE(std::string(e.what()).find("backgroud"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(EngineDriverTest, ConsumesAllThreeTopics) {

@@ -1,6 +1,7 @@
 #include "core/janus.h"
 
 #include <cmath>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -140,8 +141,10 @@ TEST(JanusTest, ConcurrentReinitializeServesOldSynopsisMeanwhile) {
   system.LoadInitial(ds.rows);
   system.Initialize();
   system.RunCatchupToGoal();
-  system.BeginReinitialize();
-  // While the optimizer runs, updates and queries keep working.
+  ASSERT_TRUE(system.BeginBackgroundReopt());
+  // While the side tree builds on another thread, updates and queries keep
+  // working against the old synopsis.
+  std::thread build([&system] { system.BuildBackgroundReopt(); });
   Rng rng(21);
   for (int i = 0; i < 1000; ++i) {
     Tuple t;
@@ -152,13 +155,65 @@ TEST(JanusTest, ConcurrentReinitializeServesOldSynopsisMeanwhile) {
   }
   const AggQuery q = MakeQuery(AggFunc::kCount, 0.0, 1.0);
   EXPECT_GT(system.Query(q).estimate, 0);
-  const double blocking = system.FinishReinitialize();
+  build.join();
+  ASSERT_TRUE(system.FinishBackgroundReopt());
+  const double blocking = system.counters().last_blocking_seconds;
   EXPECT_GE(blocking, 0.0);
   EXPECT_EQ(system.counters().repartitions, 1u);
   // New synopsis sees all 21000 tuples.
   system.RunCatchupToGoal();
   const auto r = system.Query(q);
   EXPECT_NEAR(r.estimate, 21000.0, 21000.0 * 0.05);
+}
+
+TEST(JanusTest, TriggerFiresRunInlineUnlessAnOwnerIsRegistered) {
+  auto ds = GenerateUniform(5000, 1, 27);
+  JanusOptions opts = BaseOptions();
+  opts.enable_triggers = true;
+  opts.trigger_check_interval = 16;
+  opts.starvation_factor = 1e9;  // every evaluation reports starvation
+  auto insert64 = [](JanusAqp* system) {
+    Rng rng(29);
+    for (int i = 0; i < 64; ++i) {
+      Tuple t;
+      t.id = 4000000 + static_cast<uint64_t>(i);
+      t[0] = rng.NextDouble();
+      t[1] = rng.Normal(10, 2);
+      system->Insert(t);
+    }
+  };
+
+  // No owner: each of the 4 fires runs all three stages on the updater.
+  JanusAqp inline_system(opts);
+  inline_system.LoadInitial(ds.rows);
+  inline_system.Initialize();
+  insert64(&inline_system);
+  const JanusCounters& c = inline_system.counters();
+  EXPECT_EQ(c.trigger_fires, 4u);
+  EXPECT_EQ(c.repartitions, 4u);
+  EXPECT_EQ(c.background_reopts, 0u);
+  EXPECT_EQ(c.background_discards, 0u);
+  EXPECT_EQ(c.last_blocking_seconds, c.last_reopt_seconds);
+  EXPECT_FALSE(inline_system.ReoptRequested());
+  EXPECT_FALSE(inline_system.BackgroundReoptActive());
+
+  // With an owner: fires only record the request and call the hook; the
+  // owner's run counts as a background re-optimization.
+  JanusAqp owned(opts);
+  owned.LoadInitial(ds.rows);
+  owned.Initialize();
+  int kicks = 0;
+  owned.SetReoptNotify([&kicks] { ++kicks; });
+  insert64(&owned);
+  EXPECT_EQ(kicks, 4);
+  EXPECT_EQ(owned.counters().repartitions, 0u);
+  ASSERT_TRUE(owned.ReoptRequested());
+  ASSERT_TRUE(owned.BeginBackgroundReopt());
+  owned.BuildBackgroundReopt();
+  ASSERT_TRUE(owned.FinishBackgroundReopt());
+  EXPECT_FALSE(owned.ReoptRequested());
+  EXPECT_EQ(owned.counters().repartitions, 1u);
+  EXPECT_EQ(owned.counters().background_reopts, 1u);
 }
 
 TEST(JanusTest, MultiThreadedUpdatesAreConsistent) {

@@ -1,6 +1,7 @@
 // Property-style tests: statistical invariants (unbiasedness, coverage,
 // proportional allocation) and structural invariants under parameter sweeps.
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -263,6 +264,83 @@ TEST_P(ChurnConservationTest, RootCountTracksTableSize) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChurnConservationTest,
                          ::testing::Values(101, 202, 303, 404));
+
+// ---------------------------------------------------------------------------
+// Re-optimization archive snapshot: copied a few rows at a time while random
+// inserts and deletes reshape the live table, it still equals the
+// Begin-time copy row for row.
+// ---------------------------------------------------------------------------
+
+class ArchiveSnapshotTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ArchiveSnapshotTest, ChunkedCopyEqualsBeginTimeCopy) {
+  Rng rng(GetParam());
+  DynamicTable table(Schema{{"x", "y"}});
+  uint64_t next_id = 0;
+  auto insert = [&] {
+    Tuple t;
+    t.id = next_id++;
+    t[0] = rng.NextDouble();
+    t[1] = rng.Normal(10, 2);
+    table.Insert(t);
+  };
+  for (int i = 0; i < 400; ++i) insert();
+
+  Mutex mu;
+  ReoptRun run;
+  {
+    MutexLock lock(&mu);
+    run.Begin({}, table.store());
+  }
+  const ColumnStore expected = table.store().WithoutIndex();
+  const size_t n0 = expected.size();
+  const uint64_t first_new_id = next_id;
+
+  bool swapped_uncopied_into_copied = false;
+  bool deleted_new_row = false;
+  size_t min_rows = n0;
+  while (!run.ready()) {
+    ASSERT_TRUE(run.AssembleArchive(&mu, table.store(), 1 + rng.NextUint64(6)));
+    const size_t copied = run.archive().size();
+    // Delete-heavy early on so the table shrinks below n0, then balanced.
+    const double delete_prob = copied < n0 / 2 ? 0.7 : 0.5;
+    for (uint64_t op = rng.NextUint64(10); op > 0; --op) {
+      MutexLock lock(&mu);
+      if (table.empty() || rng.NextDouble() >= delete_prob) {
+        insert();
+        continue;
+      }
+      const ColumnStore& store = table.store();
+      const size_t pos = rng.NextUint64(store.size());
+      const size_t last = store.size() - 1;
+      const uint64_t id = store.id_at(pos);
+      swapped_uncopied_into_copied |= pos < copied && last >= copied &&
+                                      last < n0 &&
+                                      store.id_at(last) < first_new_id;
+      deleted_new_row |= id >= first_new_id;
+      // The owner's update path: park, then swap-remove.
+      run.ParkRows(store, id);
+      ASSERT_TRUE(table.Delete(id));
+      min_rows = std::min(min_rows, table.size());
+    }
+  }
+
+  EXPECT_TRUE(swapped_uncopied_into_copied);
+  EXPECT_TRUE(deleted_new_row);
+  EXPECT_LT(min_rows, n0);
+  const ColumnStore& got = run.archive();
+  ASSERT_EQ(got.size(), n0);
+  EXPECT_EQ(got.ids(), expected.ids());
+  for (int c = 0; c < expected.num_columns(); ++c) {
+    for (size_t pos = 0; pos < n0; ++pos) {
+      ASSERT_EQ(got.value(pos, c), expected.value(pos, c))
+          << "column " << c << " position " << pos;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ArchiveSnapshotTest,
+                         ::testing::Values(11, 22, 33, 44, 55));
 
 // ---------------------------------------------------------------------------
 // CI calibration sweep: coverage stays sane across sample rates.

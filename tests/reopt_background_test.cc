@@ -91,7 +91,7 @@ JanusOptions JanusEquivOptions() {
   // update count this test applies, so the only evaluation is the manual
   // CheckTriggers() loop that drives the *blocking* instance — and with this
   // starvation factor that evaluation always reports starvation, i.e. an
-  // unconditional FullRepartition.
+  // unconditional full rebuild.
   o.enable_triggers = true;
   o.trigger_check_interval = 1u << 20;
   o.starvation_factor = 1e9;
@@ -155,8 +155,8 @@ TEST(ReoptBackgroundTest, PipelineMatchesBlockingRepartitionWithInterleaving) {
   // Same knobs, but trigger evaluations on the background instance must only
   // record requests (an inline rebuild there would break the lockstep).
   JanusOptions bg_opts = JanusEquivOptions();
-  bg_opts.reopt_mode = ReoptMode::kBackground;
   JanusAqp background(bg_opts);
+  background.SetReoptNotify([] {});
   for (JanusAqp* s : {&blocking, &background}) {
     s->LoadInitial(ds.rows);
     s->Initialize();
@@ -172,7 +172,7 @@ TEST(ReoptBackgroundTest, PipelineMatchesBlockingRepartitionWithInterleaving) {
 
   // Point P. Background: stage 1 under (single-threaded) update exclusion.
   // Blocking: drive CheckTriggers until the interval elapses and the starved
-  // evaluation runs FullRepartition inline. Both draw exactly one RNG value
+  // evaluation runs the full rebuild inline. Both draw exactly one RNG value
   // (the catch-up seed), so the streams stay aligned.
   ASSERT_TRUE(background.BeginBackgroundReopt());
   EXPECT_TRUE(background.BackgroundReoptActive());
