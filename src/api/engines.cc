@@ -189,6 +189,8 @@ class JanusEngine : public AqpEngine {
     s.catchup_processing_seconds = impl_.catchup_processing_seconds();
     s.last_reopt_seconds = c.last_reopt_seconds;
     s.last_blocking_seconds = c.last_blocking_seconds;
+    s.build_seconds = c.last_build_seconds;
+    s.partition_seconds = c.last_partition_seconds;
     s.archive_bytes = impl_.table().MemoryBytes();
     if (initialized_) {
       s.synopsis_bytes = impl_.dpt().MemoryBytes() +

@@ -74,10 +74,12 @@ void JanusAqp::Initialize() {
   Timer timer;
   PartitionResult pr = OptimizePartition(
       reservoir_->samples(), MakeSptOptions(opts_, opts_.spec), table_.size());
+  counters_.last_partition_seconds = timer.ElapsedSeconds();
   Timer blocking;
   AdoptSpec(std::move(pr.spec));
   counters_.last_blocking_seconds = blocking.ElapsedSeconds();
   counters_.last_reopt_seconds = timer.ElapsedSeconds();
+  counters_.last_build_seconds = counters_.last_reopt_seconds;
 }
 
 void JanusAqp::Insert(const Tuple& t) {
@@ -411,11 +413,14 @@ void JanusAqp::Reinitialize() {
   // and draws from rng_ (the beta test).
   WriterMutexLock tree(&tree_mu_);
   MutexLock lock(&update_mu_);
+  Timer build;
   PartitionResult pr = OptimizePartition(
       reservoir_->samples(), MakeSptOptions(opts_, opts_.spec), table_.size());
+  counters_.last_partition_seconds = build.ElapsedSeconds();
   Timer blocking;
   AdoptSpec(std::move(pr.spec));
   counters_.last_blocking_seconds = blocking.ElapsedSeconds();
+  counters_.last_build_seconds = build.ElapsedSeconds();
   // Step 4 (Sec. 4.3): fresh archive sample becomes the pooled reservoir,
   // re-sized to the configured rate of the *current* table.
   const size_t target = std::max<size_t>(
@@ -477,10 +482,18 @@ bool JanusAqp::RunReoptInline() {
 }
 
 void JanusAqp::BuildBackgroundReopt() {
+  if (!reopt_.run.active()) return;
+  Timer build;
+  BuildReopt();
+  reopt_.build_seconds = build.ElapsedSeconds();
+}
+
+void JanusAqp::BuildReopt() {
   Reopt& r = reopt_;
-  if (!r.run.active()) return;
+  Timer optimize;
   PartitionResult pr = OptimizePartition(
       r.run.snapshot(), MakeSptOptions(opts_, opts_.spec), r.run.n0());
+  r.partition_seconds = optimize.ElapsedSeconds();
   if (!pr.ok) return;  // the run never becomes ready; Finish discards it
   r.cand_var = pr.achieved_error * pr.achieved_error;
   if (r.drift) {
@@ -515,6 +528,10 @@ bool JanusAqp::FinishBackgroundReopt() {
   retired = std::move(reopt_);
   reopt_ = Reopt{};
   Reopt& r = retired;
+  if (r.build_seconds > 0) {  // the Build stage ran
+    counters_.last_partition_seconds = r.partition_seconds;
+    counters_.last_build_seconds = r.build_seconds;
+  }
   const bool current = dpt_.get() == r.live_at_begin;
   bool adopt = r.run.ready() && current;
   if (adopt && r.drift && r.run.captured() != r.tested_at) {
@@ -716,6 +733,8 @@ void JanusAqp::LoadFrom(persist::Reader* r) {
   counters_.delta_ops_replayed = r->U64();
   counters_.last_reopt_seconds = r->F64();
   counters_.last_blocking_seconds = r->F64();
+  counters_.last_partition_seconds = 0;
+  counters_.last_build_seconds = 0;
   updates_since_check_.store(r->U64());
   leaf_baseline_var_ = r->F64Vec();
 

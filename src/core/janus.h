@@ -181,6 +181,11 @@ struct JanusCounters {
   /// How long the last re-optimization held updates: the whole run when the
   /// firing updater ran it, the adoption step when an owner thread did.
   double last_blocking_seconds = 0;
+  /// The last build (Initialize, Reinitialize or a pipeline Build stage):
+  /// the optimizer's share, and the whole build (optimizer, side tree,
+  /// archive copy, pre-drain). Not persisted; a loaded instance reads 0.
+  double last_partition_seconds = 0;
+  double last_build_seconds = 0;
 };
 
 /// The JanusAQP system (Sec. 3): owns the evolving table (archival storage),
@@ -323,6 +328,8 @@ class JanusAqp {
     uint64_t catchup_seed = 0;
     double cand_var = 0;     ///< candidate's achieved_error^2
     uint64_t tested_at = 0;  ///< run.captured() at the Build-time beta test
+    double partition_seconds = 0;  ///< Build stage: the optimizer
+    double build_seconds = 0;      ///< Build stage: all of it
     /// Trigger baselines of the snapshot-initialized side tree — what a
     /// rebuild at Begin computes; installed verbatim at Finish.
     std::vector<double> baselines;
@@ -345,6 +352,8 @@ class JanusAqp {
   bool PartialRepartition(int leaf);
   /// Stage 1 with update_mu_ held.
   bool BeginReopt(bool inline_run);
+  /// Stage 2 body; BuildBackgroundReopt() times it.
+  void BuildReopt();
   /// All three stages back to back on the calling updater, for a pending
   /// request. Returns true if the side tree was adopted.
   bool RunReoptInline();

@@ -26,10 +26,19 @@ MaxVarianceIndex::MaxVarianceIndex(const Options& opts)
 
 void MaxVarianceIndex::Build(const std::vector<KdPoint>& samples) {
   kd_.Build(samples);
-  if (opts_.dims == 1) {
-    tree1d_.Clear();
-    for (const KdPoint& p : samples) tree1d_.Insert(p.x[0], p.a);
-  }
+  if (opts_.dims == 1) BuildTree1d(samples);
+}
+
+void MaxVarianceIndex::BuildRanks(const std::vector<KdPoint>& samples) {
+  kd_.Build({});
+  BuildTree1d(samples);
+}
+
+void MaxVarianceIndex::BuildTree1d(const std::vector<KdPoint>& samples) {
+  std::vector<std::pair<double, double>> points;
+  points.reserve(samples.size());
+  for (const KdPoint& p : samples) points.emplace_back(p.x[0], p.a);
+  tree1d_.Build(points);
 }
 
 void MaxVarianceIndex::Insert(const KdPoint& p) {
@@ -43,13 +52,14 @@ bool MaxVarianceIndex::Delete(const KdPoint& p) {
   return ok;
 }
 
-double MaxVarianceIndex::RankRangeVariance(size_t lo, size_t hi,
-                                           AggFunc f) const {
+template <typename Ranks>
+double MaxVarianceIndex::RankRangeVariance(const Ranks& ranks, size_t lo,
+                                           size_t hi, AggFunc f) const {
   if (hi <= lo) return 0;
   const size_t n = hi - lo;
   if (n < 2) return 0;
   const size_t mid = lo + n / 2;
-  const TreeAgg whole = tree1d_.RankRangeAggregate(lo, hi);
+  const TreeAgg whole = ranks.RankRangeAggregate(lo, hi);
   const double mi = whole.count;
   switch (f) {
     case AggFunc::kCount: {
@@ -58,8 +68,8 @@ double MaxVarianceIndex::RankRangeVariance(size_t lo, size_t hi,
                                 static_cast<double>(n) / 2.0);
     }
     case AggFunc::kSum: {
-      const TreeAgg left = tree1d_.RankRangeAggregate(lo, mid);
-      const TreeAgg right = tree1d_.RankRangeAggregate(mid, hi);
+      const TreeAgg left = ranks.RankRangeAggregate(lo, mid);
+      const TreeAgg right = ranks.RankRangeAggregate(mid, hi);
       const TreeAgg& best = left.sumsq >= right.sumsq ? left : right;
       return SumLeafError(opts_.sampling_rate, mi, best);
     }
@@ -73,21 +83,21 @@ double MaxVarianceIndex::RankRangeVariance(size_t lo, size_t hi,
       // keeps the bucket error monotone in bucket size (Appendix D.2).
       const size_t w = std::max<size_t>(
           2, static_cast<size_t>(opts_.delta *
-                                 static_cast<double>(tree1d_.size())));
+                                 static_cast<double>(ranks.size())));
       if (w > n) return 0.0;
       if (w == n) return AvgLeafError(mi, whole);
       const size_t stride = std::max<size_t>(1, w / 2);
       TreeAgg best;
       bool have = false;
       for (size_t s = lo; s + w <= hi; s += stride) {
-        TreeAgg win = tree1d_.RankRangeAggregate(s, s + w);
+        TreeAgg win = ranks.RankRangeAggregate(s, s + w);
         if (!have || win.sumsq > best.sumsq) {
           best = win;
           have = true;
         }
       }
       // Include the right-aligned window.
-      TreeAgg tail = tree1d_.RankRangeAggregate(hi - w, hi);
+      TreeAgg tail = ranks.RankRangeAggregate(hi - w, hi);
       if (!have || tail.sumsq > best.sumsq) best = tail;
       return AvgLeafError(mi, best);
     }
@@ -139,10 +149,8 @@ double MaxVarianceIndex::RectVariance(const Rectangle& r, AggFunc f) const {
       Rectangle left = r;
       left.set_hi(dim, 0.5 * (lo + hi));
       const TreeAgg la = kd_.RangeAggregate(left);
-      TreeAgg ra;
-      ra.count = whole.count - la.count;
-      ra.sum = whole.sum - la.sum;
-      ra.sumsq = whole.sumsq - la.sumsq;
+      TreeAgg ra = whole;
+      ra.Subtract(la);
       const TreeAgg& best = la.sumsq >= ra.sumsq ? la : ra;
       return SumLeafError(opts_.sampling_rate, mi, best);
     }
@@ -172,18 +180,24 @@ double MaxVarianceIndex::MaxVariance(const Rectangle& r, AggFunc f) const {
     const size_t lo = tree1d_.RankOf(r.lo(0));
     // Count keys <= hi.
     const TreeAgg range = tree1d_.KeyRangeAggregate(r.lo(0), r.hi(0));
-    return RankRangeVariance(lo, lo + static_cast<size_t>(range.count), f);
+    return RankRangeVariance(tree1d_, lo,
+                             lo + static_cast<size_t>(range.count), f);
   }
   return RectVariance(r, f);
 }
 
 double MaxVarianceIndex::MaxVarianceRankRange(size_t lo, size_t hi) const {
-  return RankRangeVariance(lo, hi, opts_.focus);
+  return RankRangeVariance(tree1d_, lo, hi, opts_.focus);
 }
 
 double MaxVarianceIndex::MaxVarianceRankRange(size_t lo, size_t hi,
                                               AggFunc f) const {
-  return RankRangeVariance(lo, hi, f);
+  return RankRangeVariance(tree1d_, lo, hi, f);
+}
+
+double MaxVarianceIndex::MaxVarianceRankRange(const RankTable& ranks,
+                                              size_t lo, size_t hi) const {
+  return RankRangeVariance(ranks, lo, hi, opts_.focus);
 }
 
 

@@ -27,6 +27,15 @@ namespace janus {
 ///
 /// All returned values are *variances*; callers compare sqrt(M(R)) against
 /// the error ladder.
+///
+/// In 1-D a treap (OrderStatTree) mirrors the k-d tree and answers every
+/// rank-range and 1-D MaxVariance query. Build() bulk-loads both: the treap
+/// comes out exactly as one Insert per sample would leave it, so a rebuilt
+/// index answers, persists and evolves bit-identically to an incrementally
+/// grown one. BuildRanks() loads the treap alone for a reader that never
+/// touches the k-d tree (the 1-D partitioners), and the partitioners read
+/// a RankTable of it: one O(m) pass, then O(1) per aggregate with the same
+/// bits as the treap's own O(log m) walks.
 class MaxVarianceIndex {
  public:
   struct Options {
@@ -46,10 +55,16 @@ class MaxVarianceIndex {
 
   int dims() const { return opts_.dims; }
   AggFunc focus() const { return opts_.focus; }
-  size_t size() const { return kd_.size(); }
+  size_t size() const {
+    return opts_.dims == 1 ? tree1d_.size() : kd_.size();
+  }
 
   /// Bulk-load the sample set.
   void Build(const std::vector<KdPoint>& samples);
+  /// 1-D only: bulk-load the rank tree and leave the k-d tree empty. Such
+  /// an index serves rank-range and MaxVariance queries; it is not meant
+  /// for Insert/Delete, kd() or CheckInvariants().
+  void BuildRanks(const std::vector<KdPoint>& samples);
 
   void Insert(const KdPoint& p);
   bool Delete(const KdPoint& p);
@@ -64,6 +79,9 @@ class MaxVarianceIndex {
   /// primitive the binary-search partitioner iterates on.
   double MaxVarianceRankRange(size_t lo, size_t hi) const;
   double MaxVarianceRankRange(size_t lo, size_t hi, AggFunc f) const;
+  /// Same over `ranks`, a Tabulate() of tree1d(): bit-identical answers.
+  double MaxVarianceRankRange(const RankTable& ranks, size_t lo,
+                              size_t hi) const;
 
   /// Underlying indexes (read-only).
   const DynamicKdTree& kd() const { return kd_; }
@@ -81,7 +99,11 @@ class MaxVarianceIndex {
   void CheckInvariants() const;
 
  private:
-  double RankRangeVariance(size_t lo, size_t hi, AggFunc f) const;
+  /// `Ranks` is OrderStatTree or RankTable.
+  template <typename Ranks>
+  double RankRangeVariance(const Ranks& ranks, size_t lo, size_t hi,
+                           AggFunc f) const;
+  void BuildTree1d(const std::vector<KdPoint>& samples);
   double RectVariance(const Rectangle& r, AggFunc f) const;
 
   Options opts_;

@@ -40,9 +40,9 @@ int BuildBalancedRec(const std::vector<double>& boundaries, int lo, int hi,
 
 // Boundary key between ranks r-1 and r: the midpoint of the two sample keys
 // (or the shared key when equal).
-double BoundaryAtRank(const OrderStatTree& tree, size_t r) {
-  const double a = tree.Select(r - 1);
-  const double b = tree.Select(r);
+double BoundaryAtRank(const RankTable& ranks, size_t r) {
+  const double a = ranks.Select(r - 1);
+  const double b = ranks.Select(r);
   return a == b ? a : 0.5 * (a + b);
 }
 
@@ -57,11 +57,14 @@ PartitionTreeSpec BuildBalanced1dTree(const std::vector<double>& boundaries) {
   return spec;
 }
 
-PartitionResult BuildEqualDepth1D(const MaxVarianceIndex& index,
-                                  int num_leaves) {
+namespace {
+
+// The partitioners probe the index's rank tree through a RankTable of it:
+// the same answers as the tree, in O(1) each.
+PartitionResult EqualDepth(const MaxVarianceIndex& index,
+                           const RankTable& ranks, int num_leaves) {
   PartitionResult result;
-  const OrderStatTree& tree = index.tree1d();
-  const size_t m = tree.size();
+  const size_t m = ranks.size();
   const size_t k = static_cast<size_t>(std::max(1, num_leaves));
   std::vector<double> boundaries;
   std::vector<size_t> cuts;  // boundary ranks, for the error evaluation
@@ -69,7 +72,7 @@ PartitionResult BuildEqualDepth1D(const MaxVarianceIndex& index,
     for (size_t b = 1; b < k && b * m / k < m; ++b) {
       const size_t r = b * m / k;
       if (r == 0) continue;
-      const double key = BoundaryAtRank(tree, r);
+      const double key = BoundaryAtRank(ranks, r);
       if (!boundaries.empty() && key <= boundaries.back()) continue;
       boundaries.push_back(key);
       cuts.push_back(r);
@@ -81,7 +84,7 @@ PartitionResult BuildEqualDepth1D(const MaxVarianceIndex& index,
   size_t prev = 0;
   for (size_t i = 0; i <= cuts.size(); ++i) {
     const size_t end = (i == cuts.size()) ? m : cuts[i];
-    worst = std::max(worst, index.MaxVarianceRankRange(prev, end));
+    worst = std::max(worst, index.MaxVarianceRankRange(ranks, prev, end));
     prev = end;
   }
   result.spec.worst_error = std::sqrt(worst);
@@ -90,15 +93,24 @@ PartitionResult BuildEqualDepth1D(const MaxVarianceIndex& index,
   return result;
 }
 
+}  // namespace
+
+PartitionResult BuildEqualDepth1D(const MaxVarianceIndex& index,
+                                  int num_leaves) {
+  return EqualDepth(index, index.tree1d().Tabulate(), num_leaves);
+}
+
 namespace {
 
 // Greedy feasibility sweep: can the samples be covered by at most k maximal
 // buckets whose sqrt(max variance) is <= e? Appends the boundary ranks when
 // feasible.
-bool FeasibleWithError(const MaxVarianceIndex& index, size_t m, size_t k,
-                       double e, std::vector<size_t>* boundary_ranks) {
+bool FeasibleWithError(const MaxVarianceIndex& index, const RankTable& ranks,
+                       size_t k, double e,
+                       std::vector<size_t>* boundary_ranks) {
   boundary_ranks->clear();
   const double e2 = e * e;  // compare variances, avoiding sqrt in the loop
+  const size_t m = ranks.size();
   size_t start = 0;
   for (size_t b = 0; b < k && start < m; ++b) {
     // Binary search the largest end such that M([start, end)) <= e^2. A
@@ -107,7 +119,7 @@ bool FeasibleWithError(const MaxVarianceIndex& index, size_t m, size_t k,
     size_t hi = m;
     while (lo < hi) {
       const size_t mid = lo + (hi - lo + 1) / 2;
-      if (index.MaxVarianceRankRange(start, mid) <= e2) {
+      if (index.MaxVarianceRankRange(ranks, start, mid) <= e2) {
         lo = mid;
       } else {
         hi = mid - 1;
@@ -124,34 +136,32 @@ bool FeasibleWithError(const MaxVarianceIndex& index, size_t m, size_t k,
 PartitionResult BuildPartition1D(const MaxVarianceIndex& index,
                                  const Partitioner1dOptions& opts) {
   PartitionResult result;
-  const OrderStatTree& tree = index.tree1d();
-  const size_t m = tree.size();
+  const size_t m = index.tree1d().size();
   const size_t k = static_cast<size_t>(std::max(1, opts.num_leaves));
   if (m == 0) {
     result.spec = BuildBalanced1dTree({});
     result.ok = true;
     return result;
   }
+  const RankTable ranks = index.tree1d().Tabulate();
   if (opts.focus == AggFunc::kCount) {
     // Equal-depth is optimal for COUNT in one dimension (Appendix D.2).
-    return BuildEqualDepth1D(index, opts.num_leaves);
+    return EqualDepth(index, ranks, opts.num_leaves);
   }
 
   // Error ladder E = {rho^t} spanning [L/(sqrt(2) N), N * U] — the union of
   // the SUM and AVG bounds of Lemma D.2 — plus 0.
-  const TreeAgg all = tree.PrefixAggregate(m);
   double U = 0;
   double L = kInf;
   for (size_t i = 0; i < m; ++i) {
-    const double v = std::abs(tree.SelectValue(i));
+    const double v = std::abs(ranks.SelectValue(i));
     U = std::max(U, v);
     if (v > 0) L = std::min(L, v);
   }
-  (void)all;
   const double N = static_cast<double>(std::max<size_t>(opts.data_size, m));
   if (U == 0) {
     // All aggregation values are zero: any partitioning has zero error.
-    return BuildEqualDepth1D(index, opts.num_leaves);
+    return EqualDepth(index, ranks, opts.num_leaves);
   }
   if (!std::isfinite(L)) L = U;
   const double ladder_lo = L / (std::sqrt(2.0) * N);
@@ -169,11 +179,11 @@ PartitionResult BuildPartition1D(const MaxVarianceIndex& index,
   size_t hi = ladder.size();  // invariant: ladder[hi] feasible (top always is)
   // First verify the top is feasible (it must be: one bucket per step covers
   // everything when e is the global bound).
-  std::vector<size_t> ranks;
+  std::vector<size_t> cut_ranks;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (FeasibleWithError(index, m, k, ladder[mid], &ranks)) {
-      best_ranks = ranks;
+    if (FeasibleWithError(index, ranks, k, ladder[mid], &cut_ranks)) {
+      best_ranks = cut_ranks;
       have = true;
       hi = mid;
     } else {
@@ -184,8 +194,9 @@ PartitionResult BuildPartition1D(const MaxVarianceIndex& index,
     // Fall back to the maximal ladder value; feasible by construction since
     // a bucket can always absorb at least one more sample at huge e. If even
     // that fails (pathological), use equal depth.
-    if (!FeasibleWithError(index, m, k, ladder.back() * rho, &best_ranks)) {
-      return BuildEqualDepth1D(index, opts.num_leaves);
+    if (!FeasibleWithError(index, ranks, k, ladder.back() * rho,
+                           &best_ranks)) {
+      return EqualDepth(index, ranks, opts.num_leaves);
     }
   }
 
@@ -202,7 +213,8 @@ PartitionResult BuildPartition1D(const MaxVarianceIndex& index,
     size_t worst_i = 0;
     for (size_t i = 0; i + 1 < cuts.size(); ++i) {
       if (cuts[i + 1] - cuts[i] < 2) continue;
-      const double v = index.MaxVarianceRankRange(cuts[i], cuts[i + 1]);
+      const double v =
+          index.MaxVarianceRankRange(ranks, cuts[i], cuts[i + 1]);
       if (v > worst) {
         worst = v;
         worst_i = i;
@@ -217,7 +229,7 @@ PartitionResult BuildPartition1D(const MaxVarianceIndex& index,
   std::vector<double> boundaries;
   boundaries.reserve(cuts.size());
   for (size_t i = 1; i + 1 < cuts.size(); ++i) {
-    const double key = BoundaryAtRank(tree, cuts[i]);
+    const double key = BoundaryAtRank(ranks, cuts[i]);
     if (boundaries.empty() || key > boundaries.back()) {
       boundaries.push_back(key);
     }
@@ -226,7 +238,8 @@ PartitionResult BuildPartition1D(const MaxVarianceIndex& index,
   // Evaluate the achieved worst bucket error.
   double worst = 0;
   for (size_t i = 0; i + 1 < cuts.size(); ++i) {
-    worst = std::max(worst, index.MaxVarianceRankRange(cuts[i], cuts[i + 1]));
+    worst = std::max(worst,
+                     index.MaxVarianceRankRange(ranks, cuts[i], cuts[i + 1]));
   }
   result.spec.worst_error = std::sqrt(worst);
   result.achieved_error = result.spec.worst_error;

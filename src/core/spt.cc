@@ -71,7 +71,16 @@ PartitionResult OptimizePartition(const std::vector<Tuple>& samples,
                           }
                         });
   }
-  index.Build(pts);
+  // The 1-D binary-search and equal-depth partitioners read the rank tree
+  // alone; every other partitioner runs on the k-d tree.
+  const bool ranks_only =
+      dims == 1 && (opts.algorithm == PartitionAlgorithm::kBinarySearch ||
+                    opts.algorithm == PartitionAlgorithm::kEqualDepth);
+  if (ranks_only) {
+    index.BuildRanks(pts);
+  } else {
+    index.Build(pts);
+  }
 
   switch (opts.algorithm) {
     case PartitionAlgorithm::kEqualDepth:

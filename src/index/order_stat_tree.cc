@@ -1,6 +1,8 @@
 #include "index/order_stat_tree.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -35,6 +37,18 @@ struct OrderStatTree::Node {
       sum += right->sum;
       sumsq += right->sumsq;
     }
+  }
+
+  // One right step of a root-to-rank walk: the left subtree, then the node.
+  void AddLeftAndSelf(TreeAgg* agg) const {
+    if (left) {
+      agg->count += static_cast<double>(left->count);
+      agg->sum += left->sum;
+      agg->sumsq += left->sumsq;
+    }
+    agg->count += 1;
+    agg->sum += value;
+    agg->sumsq += value * value;
   }
 };
 
@@ -110,6 +124,51 @@ void OrderStatTree::Insert(double key, double a) {
   SplitByKey(root_, key, /*or_equal=*/false, &l, &r);
   root_ = Merge(Merge(l, node), r);
   ++size_;
+}
+
+void OrderStatTree::Build(
+    const std::vector<std::pair<double, double>>& points) {
+  Clear();
+  // A NaN key has no sorted position; Insert's comparisons alone say where
+  // it lands.
+  if (std::any_of(points.begin(), points.end(),
+                  [](const auto& p) { return std::isnan(p.first); })) {
+    for (const auto& [key, a] : points) Insert(key, a);
+    return;
+  }
+  const size_t n = points.size();
+  // Insert draws each priority before placing its node.
+  std::vector<uint64_t> priority(n);
+  for (uint64_t& p : priority) p = rng_.Next();
+  // Insert places a node before every equal key, so in-order is ascending
+  // key, newest first among equal keys.
+  std::vector<std::pair<double, size_t>> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = {points[i].first, i};
+  std::sort(order.begin(), order.end(), [](const auto& x, const auto& y) {
+    return x.first < y.first || (x.first == y.first && x.second > y.second);
+  });
+  // Cartesian tree by one pass over the right spine. Merge makes the right
+  // node the ancestor on a priority tie, hence the pop on <=. A node leaves
+  // the spine only with both subtrees final, so it is pulled then.
+  std::vector<Node*> spine;
+  for (const auto& [key, i] : order) {
+    Node* node = new Node(key, points[i].second, priority[i]);
+    Node* left = nullptr;
+    while (!spine.empty() && spine.back()->priority <= node->priority) {
+      left = spine.back();
+      spine.pop_back();
+      left->Pull();
+    }
+    node->left = left;
+    if (!spine.empty()) spine.back()->right = node;
+    spine.push_back(node);
+  }
+  while (!spine.empty()) {
+    root_ = spine.back();
+    spine.pop_back();
+    root_->Pull();
+  }
+  size_ = n;
 }
 
 bool OrderStatTree::Delete(double key, double a) {
@@ -216,14 +275,7 @@ TreeAgg OrderStatTree::PrefixAggregate(size_t r) const {
     if (remaining <= lc) {
       t = t->left;
     } else {
-      if (t->left) {
-        agg.count += static_cast<double>(t->left->count);
-        agg.sum += t->left->sum;
-        agg.sumsq += t->left->sumsq;
-      }
-      agg.count += 1;
-      agg.sum += t->value;
-      agg.sumsq += t->value * t->value;
+      t->AddLeftAndSelf(&agg);
       remaining -= lc + 1;
       t = t->right;
     }
@@ -233,13 +285,47 @@ TreeAgg OrderStatTree::PrefixAggregate(size_t r) const {
 
 TreeAgg OrderStatTree::RankRangeAggregate(size_t lo, size_t hi) const {
   if (hi <= lo) return TreeAgg{};
-  TreeAgg a = PrefixAggregate(hi);
-  TreeAgg b = PrefixAggregate(lo);
-  TreeAgg out;
-  out.count = a.count - b.count;
-  out.sum = a.sum - b.sum;
-  out.sumsq = a.sumsq - b.sumsq;
+  TreeAgg out = PrefixAggregate(hi);
+  out.Subtract(PrefixAggregate(lo));
   return out;
+}
+
+TreeAgg RankTable::RankRangeAggregate(size_t lo, size_t hi) const {
+  if (hi <= lo) return TreeAgg{};
+  TreeAgg out = prefix_[hi];
+  out.Subtract(prefix_[lo]);
+  return out;
+}
+
+RankTable OrderStatTree::Tabulate() const {
+  RankTable table;
+  table.keys_.reserve(size_);
+  table.values_.reserve(size_);
+  table.prefix_.reserve(size_ + 1);
+  table.prefix_.emplace_back();
+  // In-order walk. Each frame carries what PrefixAggregate's walk has
+  // summed on reaching its node: a left step adds nothing, a right step
+  // adds the left subtree and the node. The walk for rank r + 1 ends with
+  // the right step off the node of rank r.
+  struct Frame {
+    const Node* node;
+    TreeAgg base;
+  };
+  std::vector<Frame> stack;
+  const Node* t = root_;
+  TreeAgg base;
+  while (t || !stack.empty()) {
+    for (; t; t = t->left) stack.push_back({t, base});
+    const Frame f = stack.back();
+    stack.pop_back();
+    base = f.base;
+    f.node->AddLeftAndSelf(&base);
+    table.keys_.push_back(f.node->key);
+    table.values_.push_back(f.node->value);
+    table.prefix_.push_back(base);
+    t = f.node->right;
+  }
+  return table;
 }
 
 TreeAgg OrderStatTree::KeyRangeAggregate(double lo, double hi) const {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -26,6 +27,30 @@ struct TreeAgg {
     sum += o.sum;
     sumsq += o.sumsq;
   }
+  void Subtract(const TreeAgg& o) {
+    count -= o.count;
+    sum -= o.sum;
+    sumsq -= o.sumsq;
+  }
+};
+
+/// The rank structure of an OrderStatTree frozen into arrays: the key, the
+/// value and the prefix aggregate at every rank, answered in O(1). Every
+/// answer equals the tree's own bit for bit. It is a copy, made by
+/// OrderStatTree::Tabulate(), and does not follow later tree updates.
+class RankTable {
+ public:
+  size_t size() const { return keys_.size(); }
+  double Select(size_t r) const { return keys_[r]; }
+  double SelectValue(size_t r) const { return values_[r]; }
+  TreeAgg PrefixAggregate(size_t r) const { return prefix_[r]; }
+  TreeAgg RankRangeAggregate(size_t lo, size_t hi) const;
+
+ private:
+  friend class OrderStatTree;
+  std::vector<double> keys_;
+  std::vector<double> values_;
+  std::vector<TreeAgg> prefix_;  ///< size() + 1 entries, from rank 0
 };
 
 /// Dynamic 1-D index over samples: a treap keyed by predicate value, with
@@ -33,8 +58,16 @@ struct TreeAgg {
 /// search binary tree of space O(m)" of Sec. 4.2 / Sec. 5.2:
 ///   * O(log m) insert / delete,
 ///   * O(log m) rank / select (k-th smallest key),
-///   * O(log m) aggregates over a key range or a rank range.
+///   * O(log m) aggregates over a key range or a rank range,
+///   * an O(m log m) bulk build and an O(m) RankTable of a fixed tree.
 /// Duplicate keys are allowed.
+///
+/// A treap is the Cartesian tree of its (key, priority) pairs (Seidel and
+/// Aragon, 1996): its in-order sequence and priorities fix its shape, and
+/// Insert draws each priority from the tree's own RNG. So Build(points) can
+/// lay out, in one stack pass over the sorted points (Gabow, Bentley and
+/// Tarjan, 1984), the very tree that one Insert per point leaves, with the
+/// same cached aggregates and RNG state.
 class OrderStatTree {
  public:
   OrderStatTree();
@@ -45,6 +78,12 @@ class OrderStatTree {
 
   /// Insert a point with key `key` and aggregation value `a`.
   void Insert(double key, double a);
+
+  /// Replace the contents with `points` (key, value): the tree that Clear()
+  /// followed by one Insert per point, in order, leaves — same shape,
+  /// priorities, aggregates and RNG state — in O(m log m) with no
+  /// rebalancing. Priorities are drawn from the current RNG.
+  void Build(const std::vector<std::pair<double, double>>& points);
 
   /// Delete one point equal to (key, a). Returns false if absent.
   bool Delete(double key, double a);
@@ -73,6 +112,10 @@ class OrderStatTree {
 
   /// In-order dump of (key, value) pairs; O(n). For tests and rebuilds.
   void Dump(std::vector<std::pair<double, double>>* out) const;
+
+  /// Every rank's key, value and prefix aggregate, in one O(n) in-order
+  /// pass that makes PrefixAggregate's additions in its order.
+  RankTable Tabulate() const;
 
   /// Snapshot persistence. Serializes the exact treap shape (keys, values,
   /// priorities) plus the priority RNG; subtree aggregates are recomputed on

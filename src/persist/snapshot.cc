@@ -1,9 +1,11 @@
 #include "persist/snapshot.h"
 
-#include <cstdio>
-#include <cstring>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
+
+#include <cstdio>
+#include <cstring>
 
 namespace janus {
 namespace persist {
@@ -56,6 +58,18 @@ void WriteSnapshotFile(const std::string& path, const Writer& payload) {
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     throw PersistError("cannot publish snapshot file: " + path);
+  }
+  // The rename lives in the parent directory until that is synced too; a
+  // power loss before then can still un-publish the snapshot.
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  const bool synced = fd >= 0 && fsync(fd) == 0;
+  if (fd >= 0) close(fd);
+  if (!synced) {
+    throw PersistError("cannot sync the directory of snapshot file: " + path);
   }
 }
 

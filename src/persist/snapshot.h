@@ -39,7 +39,8 @@ inline constexpr uint32_t kSnapshotVersion = 1;
 void WriteMeta(const SnapshotMeta& meta, Writer* w);
 SnapshotMeta ReadMeta(Reader* r);
 
-/// Atomically write a snapshot file (tmp + fsync + rename): header + payload.
+/// Atomically and durably write a snapshot file: header + payload to a
+/// temp file, fsync, rename over `path`, fsync the parent directory.
 /// Throws PersistError on I/O failure.
 void WriteSnapshotFile(const std::string& path, const Writer& payload);
 

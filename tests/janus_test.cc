@@ -166,6 +166,27 @@ TEST(JanusTest, ConcurrentReinitializeServesOldSynopsisMeanwhile) {
   EXPECT_NEAR(r.estimate, 21000.0, 21000.0 * 0.05);
 }
 
+TEST(JanusTest, PipelineBuildStageReportsItsTimings) {
+  auto ds = GenerateUniform(20000, 1, 23);
+  JanusAqp system(BaseOptions());
+  system.LoadInitial(ds.rows);
+  system.Initialize();
+  const JanusCounters init = system.counters();
+  EXPECT_GT(init.last_partition_seconds, 0.0);
+  EXPECT_LE(init.last_partition_seconds, init.last_build_seconds);
+  ASSERT_TRUE(system.BeginBackgroundReopt());
+  system.BuildBackgroundReopt();
+  // Published with the run's outcome, at Finish.
+  EXPECT_EQ(system.counters().last_build_seconds, init.last_build_seconds);
+  ASSERT_TRUE(system.FinishBackgroundReopt());
+  const JanusCounters& run = system.counters();
+  EXPECT_GT(run.last_partition_seconds, 0.0);
+  EXPECT_LE(run.last_partition_seconds, run.last_build_seconds);
+  EXPECT_NE(run.last_build_seconds, init.last_build_seconds);
+  // The Build stage excludes Begin and Finish; the whole run includes it.
+  EXPECT_LE(run.last_build_seconds, run.last_reopt_seconds);
+}
+
 TEST(JanusTest, TriggerFiresRunInlineUnlessAnOwnerIsRegistered) {
   auto ds = GenerateUniform(5000, 1, 27);
   JanusOptions opts = BaseOptions();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -130,6 +131,41 @@ TEST(MaxVarianceTest, RectQueryMatchesRankRangeIn1d) {
   const double via_rect = idx->MaxVariance(all);
   const double via_rank = idx->MaxVarianceRankRange(0, 128);
   EXPECT_NEAR(via_rect, via_rank, 1e-9 * (1 + via_rank));
+}
+
+TEST(MaxVarianceTest, RankTableAnswersMatchTheTree) {
+  const auto pts = RandomPoints1d(600, 41);
+  for (AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg}) {
+    auto idx = MakeIndex1d(pts, f);
+    const RankTable ranks = idx->tree1d().Tabulate();
+    Rng rng(42);
+    for (int probe = 0; probe < 3000; ++probe) {
+      const size_t lo = rng.NextUint64(pts.size() + 1);
+      const size_t hi = lo + rng.NextUint64(pts.size() + 1 - lo);
+      const double tree = idx->MaxVarianceRankRange(lo, hi);
+      const double table = idx->MaxVarianceRankRange(ranks, lo, hi);
+      ASSERT_EQ(std::memcmp(&tree, &table, sizeof(double)), 0)
+          << AggFuncName(f) << " [" << lo << ", " << hi << ")";
+    }
+  }
+}
+
+TEST(MaxVarianceTest, RankOnlyBuildServesRankQueries) {
+  const auto pts = RandomPoints1d(300, 43);
+  auto full = MakeIndex1d(pts, AggFunc::kSum);
+  MaxVarianceIndex::Options o;
+  o.dims = 1;
+  o.focus = AggFunc::kSum;
+  o.sampling_rate = 0.01;
+  o.delta = 0.25;
+  MaxVarianceIndex ranks_only(o);
+  ranks_only.BuildRanks(pts);
+  EXPECT_EQ(ranks_only.size(), pts.size());
+  EXPECT_EQ(ranks_only.kd().size(), 0u);
+  EXPECT_EQ(ranks_only.MaxVarianceRankRange(10, 250),
+            full->MaxVarianceRankRange(10, 250));
+  const Rectangle r({0.2}, {0.7});
+  EXPECT_EQ(ranks_only.MaxVariance(r), full->MaxVariance(r));
 }
 
 TEST(MaxVarianceTest, InsertDeleteKeepsIndexesConsistent) {

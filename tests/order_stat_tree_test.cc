@@ -1,10 +1,14 @@
 #include "index/order_stat_tree.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "persist/serde.h"
 #include "util/rng.h"
 
 namespace janus {
@@ -139,6 +143,168 @@ TEST(OrderStatTreeTest, SelectIsMonotoneUnderHeavyInserts) {
     const double k = tree.Select(r);
     EXPECT_GE(k, prev);
     prev = k;
+  }
+}
+
+using Points = std::vector<std::pair<double, double>>;
+
+std::vector<uint8_t> SavedBytes(const OrderStatTree& tree) {
+  persist::Writer w;
+  tree.SaveTo(&w);
+  return w.buffer();
+}
+
+/// `n` points with integer keys below `key_range`; about one in ten repeats
+/// an earlier (key, value) pair exactly.
+Points RandomPoints(Rng* rng, size_t n, uint64_t key_range) {
+  Points pts;
+  for (size_t i = 0; i < n; ++i) {
+    if (!pts.empty() && rng->NextDouble() < 0.1) {
+      pts.push_back(pts[rng->NextUint64(pts.size())]);
+    } else {
+      pts.emplace_back(static_cast<double>(rng->NextUint64(key_range)),
+                       rng->Uniform(-5, 5));
+    }
+  }
+  return pts;
+}
+
+/// Build(pts) against Clear() plus one Insert per point, on two trees whose
+/// RNGs first advance through `history` inserts: equal SaveTo bytes (shape,
+/// priorities, RNG state), valid invariants, and the same bytes again after
+/// the same further inserts and deletes.
+void ExpectBuildMatchesInserts(const Points& pts, size_t history, Rng* rng) {
+  OrderStatTree bulk;
+  OrderStatTree ref;
+  for (size_t i = 0; i < history; ++i) {
+    bulk.Insert(static_cast<double>(i), 1.0);
+    ref.Insert(static_cast<double>(i), 1.0);
+  }
+  bulk.Build(pts);
+  ref.Clear();
+  for (const auto& [key, a] : pts) ref.Insert(key, a);
+  ASSERT_EQ(SavedBytes(bulk), SavedBytes(ref)) << pts.size() << " points";
+  bulk.CheckInvariants();
+  for (int step = 0; step < 40; ++step) {
+    if (pts.empty() || rng->NextDouble() < 0.4) {
+      const double key = pts.empty() ? rng->NextDouble()
+                                     : pts[rng->NextUint64(pts.size())].first;
+      const double a = rng->Uniform(-5, 5);
+      bulk.Insert(key, a);
+      ref.Insert(key, a);
+    } else {
+      const auto& [key, a] = pts[rng->NextUint64(pts.size())];
+      ASSERT_EQ(bulk.Delete(key, a), ref.Delete(key, a));
+    }
+  }
+  ASSERT_EQ(SavedBytes(bulk), SavedBytes(ref)) << pts.size() << " points";
+  bulk.CheckInvariants();
+}
+
+TEST(OrderStatTreeBuildTest, EmptyAndTinyInputsMatchInserts) {
+  Rng rng(3);
+  ExpectBuildMatchesInserts({}, 0, &rng);
+  ExpectBuildMatchesInserts({{2.0, 1.0}}, 0, &rng);
+  ExpectBuildMatchesInserts({{2.0, 1.0}, {1.0, 3.0}}, 0, &rng);
+  ExpectBuildMatchesInserts({{2.0, 1.0}, {2.0, 1.0}}, 0, &rng);
+  ExpectBuildMatchesInserts({{2.0, 1.0}, {2.0, -1.0}}, 0, &rng);
+}
+
+TEST(OrderStatTreeBuildTest, RandomInputsMatchInserts) {
+  Rng rng(11);
+  for (int trial = 0; trial < 120; ++trial) {
+    const size_t n = rng.NextUint64(501);
+    const uint64_t key_range = trial % 2 == 0 ? 7 : (uint64_t{1} << 40);
+    ExpectBuildMatchesInserts(RandomPoints(&rng, n, key_range), 0, &rng);
+  }
+}
+
+TEST(OrderStatTreeBuildTest, PoolSizedInputsMatchInserts) {
+  Rng rng(12);
+  for (const uint64_t key_range : {uint64_t{7}, uint64_t{1} << 40}) {
+    ExpectBuildMatchesInserts(RandomPoints(&rng, 40000, key_range), 0, &rng);
+  }
+}
+
+TEST(OrderStatTreeBuildTest, DrawsFromAnAdvancedRng) {
+  // A reused tree (a re-drawn reservoir) builds from where its RNG stands.
+  Rng rng(13);
+  for (const size_t history : {1, 37, 400}) {
+    ExpectBuildMatchesInserts(RandomPoints(&rng, 300, 7), history, &rng);
+    ExpectBuildMatchesInserts(RandomPoints(&rng, 300, uint64_t{1} << 40),
+                              history, &rng);
+  }
+}
+
+TEST(OrderStatTreeBuildTest, NanKeysTakeTheInsertPath) {
+  // A NaN key has no sorted position; the build must neither reorder it
+  // differently from Insert nor hand it to a sort.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Points pts{{3.0, 1.0}, {nan, 2.0}, {1.0, 3.0}, {nan, 4.0}, {2.0, 5.0}};
+  OrderStatTree bulk;
+  OrderStatTree ref;
+  bulk.Build(pts);
+  for (const auto& [key, a] : pts) ref.Insert(key, a);
+  EXPECT_EQ(SavedBytes(bulk), SavedBytes(ref));
+}
+
+TEST(OrderStatTreeBuildTest, RebuildReplacesContents) {
+  Rng rng(14);
+  OrderStatTree tree;
+  tree.Build(RandomPoints(&rng, 200, 50));
+  const Points next = RandomPoints(&rng, 120, 50);
+  tree.Build(next);
+  EXPECT_EQ(tree.size(), next.size());
+  tree.CheckInvariants();
+  Points sorted = next;
+  std::sort(sorted.begin(), sorted.end());
+  Points dumped;
+  tree.Dump(&dumped);
+  std::sort(dumped.begin(), dumped.end());
+  EXPECT_EQ(dumped, sorted);
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+bool SameBits(const TreeAgg& a, const TreeAgg& b) {
+  return SameBits(a.count, b.count) && SameBits(a.sum, b.sum) &&
+         SameBits(a.sumsq, b.sumsq);
+}
+
+TEST(RankTableTest, MatchesTreeWalksAtEveryRank) {
+  Rng rng(21);
+  for (const size_t n : {0, 1, 2, 3, 17, 500, 4000}) {
+    for (const uint64_t key_range : {uint64_t{7}, uint64_t{1} << 40}) {
+      // Grown by inserts and thinned by deletes, so Delete's re-merges
+      // shape the tree too.
+      OrderStatTree tree;
+      const Points pts = RandomPoints(&rng, n + n / 4, key_range);
+      for (const auto& [key, a] : pts) tree.Insert(key, a);
+      for (size_t i = 0; i < n / 4; ++i) {
+        tree.Delete(pts[i].first, pts[i].second);
+      }
+      const RankTable table = tree.Tabulate();
+      ASSERT_EQ(table.size(), tree.size());
+      for (size_t r = 0; r < tree.size(); ++r) {
+        ASSERT_TRUE(SameBits(table.Select(r), tree.Select(r))) << r;
+        ASSERT_TRUE(SameBits(table.SelectValue(r), tree.SelectValue(r)))
+            << r;
+      }
+      for (size_t r = 0; r <= tree.size(); ++r) {
+        ASSERT_TRUE(SameBits(table.PrefixAggregate(r),
+                             tree.PrefixAggregate(r)))
+            << "prefix " << r << " of " << tree.size();
+      }
+      for (int probe = 0; probe < 2000; ++probe) {
+        const size_t lo = rng.NextUint64(tree.size() + 1);
+        const size_t hi = rng.NextUint64(tree.size() + 1);
+        ASSERT_TRUE(SameBits(table.RankRangeAggregate(lo, hi),
+                             tree.RankRangeAggregate(lo, hi)))
+            << "[" << lo << ", " << hi << ")";
+      }
+    }
   }
 }
 

@@ -1,12 +1,17 @@
 #include "core/spt.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "core/max_variance.h"
+#include "core/partitioner_1d.h"
 #include "data/generators.h"
 #include "data/ground_truth.h"
 #include "data/workload.h"
+#include "util/rng.h"
 
 namespace janus {
 namespace {
@@ -120,6 +125,83 @@ TEST(SptTest, OptimizePartitionStandalone) {
   ASSERT_TRUE(pr.ok);
   EXPECT_LE(pr.spec.num_leaves(), 8);
   EXPECT_GE(pr.spec.num_leaves(), 2);
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+TEST(SptTest, OneDimOptimizerMatchesAnInsertBuiltIndex) {
+  // The optimizer bulk-builds a rank-only index; the reference grows the
+  // full index (k-d tree included) one Insert per sample. Their partitions
+  // must agree bit for bit.
+  const size_t kDataSize = 400000;
+  Rng rng(31);
+  for (const bool few_keys : {false, true}) {
+    std::vector<Tuple> samples(3000);
+    for (size_t i = 0; i < samples.size(); ++i) {
+      samples[i].id = i;
+      samples[i][0] = few_keys ? static_cast<double>(rng.NextUint64(7))
+                               : rng.NextDouble();
+      samples[i][1] = rng.LogNormal(0, 1);
+    }
+    for (const AggFunc focus :
+         {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg}) {
+      for (const PartitionAlgorithm algo :
+           {PartitionAlgorithm::kBinarySearch,
+            PartitionAlgorithm::kEqualDepth}) {
+        SptOptions o;
+        o.spec.agg_column = 1;
+        o.spec.predicate_columns = {0};
+        o.num_leaves = 32;
+        o.focus = focus;
+        o.algorithm = algo;
+        const PartitionResult got = OptimizePartition(samples, o, kDataSize);
+
+        MaxVarianceIndex::Options mo;
+        mo.dims = 1;
+        mo.focus = focus;
+        mo.sampling_rate = o.sample_rate;
+        mo.delta = o.delta;
+        MaxVarianceIndex ref(mo);
+        for (const Tuple& t : samples) ref.Insert(MakeKdPoint(t, {0}, 1));
+        PartitionResult want;
+        if (algo == PartitionAlgorithm::kBinarySearch) {
+          Partitioner1dOptions bo;
+          bo.num_leaves = o.num_leaves;
+          bo.focus = focus;
+          bo.rho = o.rho;
+          bo.data_size = kDataSize;
+          want = BuildPartition1D(ref, bo);
+        } else {
+          want = BuildEqualDepth1D(ref, o.num_leaves);
+        }
+
+        const std::string label = std::string(AggFuncName(focus)) +
+                                  (few_keys ? " few keys" : " distinct keys");
+        ASSERT_TRUE(got.ok) << label;
+        EXPECT_TRUE(SameBits(got.achieved_error, want.achieved_error))
+            << label;
+        EXPECT_TRUE(SameBits(got.spec.worst_error, want.spec.worst_error))
+            << label;
+        EXPECT_EQ(got.spec.leaves, want.spec.leaves) << label;
+        ASSERT_EQ(got.spec.nodes.size(), want.spec.nodes.size()) << label;
+        for (size_t i = 0; i < got.spec.nodes.size(); ++i) {
+          const PartitionNode& g = got.spec.nodes[i];
+          const PartitionNode& w = want.spec.nodes[i];
+          EXPECT_EQ(g.left, w.left) << label << " node " << i;
+          EXPECT_EQ(g.right, w.right) << label << " node " << i;
+          EXPECT_EQ(g.parent, w.parent) << label << " node " << i;
+          EXPECT_EQ(g.split_dim, w.split_dim) << label << " node " << i;
+          EXPECT_TRUE(SameBits(g.split_val, w.split_val))
+              << label << " node " << i;
+          EXPECT_TRUE(SameBits(g.rect.lo(0), w.rect.lo(0)) &&
+                      SameBits(g.rect.hi(0), w.rect.hi(0)))
+              << label << " node " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
