@@ -1,6 +1,7 @@
 #include "core/dpt.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -108,21 +109,6 @@ void Dpt::GrowDomain(const double* point) {
                                      std::memory_order_relaxed)) {
     }
   }
-}
-
-Rectangle Dpt::ClippedRect(int node) const {
-  const Rectangle& r = spec_.nodes[static_cast<size_t>(node)].rect;
-  const int d = dims();
-  std::vector<double> lo(static_cast<size_t>(d)), hi(static_cast<size_t>(d));
-  for (int i = 0; i < d; ++i) {
-    lo[static_cast<size_t>(i)] =
-        std::max(r.lo(i), domain_lo_[static_cast<size_t>(i)].load(
-                              std::memory_order_relaxed));
-    hi[static_cast<size_t>(i)] =
-        std::min(r.hi(i), domain_hi_[static_cast<size_t>(i)].load(
-                              std::memory_order_relaxed));
-  }
-  return Rectangle(std::move(lo), std::move(hi));
 }
 
 void Dpt::ResetLeafStats(StatMode mode, double n0) {
@@ -421,22 +407,22 @@ double Dpt::NodeSumEstimate(int node, int column) const {
 
 TreeAgg Dpt::MatchingSamples(int leaf, const AggQuery& q, double* stratum_size,
                              int column) const {
-  std::vector<KdPoint> pts;
-  samples_.kd().Report(spec_.nodes[static_cast<size_t>(leaf)].rect, &pts);
-  *stratum_size = static_cast<double>(pts.size());
+  const Rectangle& cell = LeafRect(leaf);
+  const DynamicKdTree& kd = samples_.kd();
+  // m_i counts the samples in the closed cell: a sum of integers, so exact.
+  *stratum_size = kd.RangeAggregate(cell).count;
+  // The samples in cell ∩ q, added one by one in report order: the same
+  // additions, in the same order, as filtering Report(cell) by q.
   TreeAgg match;
-  const bool native_column = column == opts_.spec.agg_column;
-  for (const KdPoint& p : pts) {
-    if (!q.rect.Contains(p.x.data())) continue;
-    double v = p.a;
-    if (!native_column) {
-      auto it = sample_tuples_.find(p.id);
-      if (it == sample_tuples_.end()) continue;
-      v = it->second[column];
-    }
-    match.count += 1;
-    match.sum += v;
-    match.sumsq += v * v;
+  auto add = [&match](double v) { match.Add({1.0, v, v * v}); };
+  const KdBox box = KdBox::Intersection(cell, q.rect);
+  if (column == opts_.spec.agg_column) {
+    kd.ForEachIn(box, [&](const KdPoint& p) { add(p.a); });
+  } else {
+    kd.ForEachIn(box, [&](const KdPoint& p) {
+      const auto it = sample_tuples_.find(p.id);
+      if (it != sample_tuples_.end()) add(it->second[column]);
+    });
   }
   return match;
 }
@@ -624,34 +610,34 @@ void Dpt::LoadFrom(persist::Reader* r) {
 
 void Dpt::Frontier(const Rectangle& q, std::vector<int>* cover,
                    std::vector<int>* partial) const {
-  std::vector<int> stack{0};
-  while (!stack.empty()) {
-    const int i = stack.back();
-    stack.pop_back();
-    const PartitionNode& n = spec_.nodes[static_cast<size_t>(i)];
-    // Classify against the node rectangle clipped to the observed data
-    // domain: boundary nodes extend to +-infinity for routing purposes, but
-    // only their data extent matters for coverage.
-    const Rectangle clipped = ClippedRect(i);
-    bool empty = false;
-    for (int d = 0; d < clipped.dims(); ++d) {
-      if (clipped.lo(d) > clipped.hi(d)) {
-        empty = true;
-        break;
-      }
-    }
-    if (empty || !q.Intersects(clipped)) continue;
-    if (q.Covers(clipped)) {
-      cover->push_back(i);
-      continue;
-    }
-    if (n.IsLeaf()) {
-      partial->push_back(i);
-      continue;
-    }
-    stack.push_back(n.left);
-    stack.push_back(n.right);
+  // Each node's rectangle is clipped in place, one dimension at a time.
+  const int num_dims = dims();
+  std::array<double, kMaxColumns> dom_lo{};
+  std::array<double, kMaxColumns> dom_hi{};
+  for (size_t d = 0; d < static_cast<size_t>(num_dims); ++d) {
+    dom_lo[d] = domain_lo_[d].load(std::memory_order_relaxed);
+    dom_hi[d] = domain_hi_[d].load(std::memory_order_relaxed);
   }
+  auto visit = [&](auto& self, int i) -> void {
+    const PartitionNode& n = spec_.nodes[static_cast<size_t>(i)];
+    bool covered = true;
+    for (int d = 0; d < num_dims; ++d) {
+      const double lo = std::max(n.rect.lo(d), dom_lo[static_cast<size_t>(d)]);
+      const double hi = std::min(n.rect.hi(d), dom_hi[static_cast<size_t>(d)]);
+      // Empty once clipped, or disjoint from the query.
+      if (lo > hi || hi < q.lo(d) || lo > q.hi(d)) return;
+      if (lo < q.lo(d) || hi > q.hi(d)) covered = false;
+    }
+    if (covered) {
+      cover->push_back(i);
+    } else if (n.IsLeaf()) {
+      partial->push_back(i);
+    } else {
+      self(self, n.right);  // right first: the order the answer sums in
+      self(self, n.left);
+    }
+  };
+  visit(visit, 0);
 }
 
 QueryResult Dpt::QuerySampleOnly(const AggQuery& q) const {
@@ -665,17 +651,23 @@ QueryResult Dpt::QuerySampleOnly(const AggQuery& q) const {
   double best_min = std::numeric_limits<double>::max();
   double best_max = std::numeric_limits<double>::lowest();
   std::vector<double> point(q.predicate_columns.size());
-  for (const auto& [id, t] : sample_tuples_) {
-    (void)id;
+  // Sum in the k-d tree's report order, which a snapshot restores exactly
+  // (the id map's iteration order depends on its history). A query on the
+  // template's predicate columns walks only its own box.
+  const KdBox box = q.predicate_columns == opts_.spec.predicate_columns
+                        ? KdBox::Of(q.rect)
+                        : KdBox::Unbounded();
+  samples_.kd().ForEachIn(box, [&](const KdPoint& p) {
+    const auto it = sample_tuples_.find(p.id);
+    if (it == sample_tuples_.end()) return;
+    const Tuple& t = it->second;
     ProjectTuple(t, q.predicate_columns, point.data());
-    if (!q.rect.Contains(point.data())) continue;
+    if (!q.rect.Contains(point.data())) return;
     const double v = t[q.agg_column];
-    match.count += 1;
-    match.sum += v;
-    match.sumsq += v * v;
+    match.Add({1.0, v, v * v});
     best_min = std::min(best_min, v);
     best_max = std::max(best_max, v);
-  }
+  });
   switch (q.func) {
     case AggFunc::kSum:
       r.estimate = n_total / m * match.sum;
@@ -729,13 +721,12 @@ QueryResult Dpt::QueryMinMax(const AggQuery& q) const {
     }
   }
   for (int i : partial) {
-    std::vector<KdPoint> pts;
-    samples_.kd().Report(spec_.nodes[static_cast<size_t>(i)].rect, &pts);
-    for (const KdPoint& p : pts) {
-      if (!q.rect.Contains(p.x.data())) continue;
-      best = want_min ? std::min(best, p.a) : std::max(best, p.a);
-      any = true;
-    }
+    samples_.kd().ForEachIn(KdBox::Intersection(LeafRect(i), q.rect),
+                            [&](const KdPoint& p) {
+                              best = want_min ? std::min(best, p.a)
+                                              : std::max(best, p.a);
+                              any = true;
+                            });
     exact = false;  // sampled extrema carry no guarantee
   }
   r.estimate = any ? best : 0;
@@ -955,17 +946,12 @@ void Dpt::CheckInvariants() const {
                           " points, mirror holds " +
                           std::to_string(sample_tuples_.size()) + " tuples");
   for (const auto& [id, t] : sample_tuples_) {
-    const KdPoint p =
-        MakeKdPoint(t, opts_.spec.predicate_columns, opts_.spec.agg_column);
-    Rectangle point_rect = Rectangle::Infinite(spec_.dims);
-    for (int d = 0; d < spec_.dims; ++d) {
-      point_rect.set_lo(d, p.x[static_cast<size_t>(d)]);
-      point_rect.set_hi(d, p.x[static_cast<size_t>(d)]);
-    }
-    std::vector<KdPoint> at;
-    samples_.kd().Report(point_rect, &at);
+    KdBox at;  // the sample's own coordinates
+    at.lo = at.hi =
+        MakeKdPoint(t, opts_.spec.predicate_columns, opts_.spec.agg_column).x;
     bool found = false;
-    for (const KdPoint& q : at) found = found || q.id == id;
+    samples_.kd().ForEachIn(
+        at, [&](const KdPoint& q) { found = found || q.id == id; });
     invariants::Require(found, "Dpt",
                         "mirrored sample id " + std::to_string(id) +
                             " is missing from the kd index at its "

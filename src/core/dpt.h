@@ -222,9 +222,16 @@ class Dpt {
   void ResetLeafStats(StatMode mode, double n0);
   double LeafCountEstimate(int leaf) const;
   double LeafSumEstimate(int leaf, int tracked_idx) const;
+  /// A partial leaf's share of a query: its stratum size m_i, and count/sum/
+  /// sumsq of `column` over its samples inside q. Sums in place over the
+  /// k-d walk of leaf ∩ q; the stratum is never copied.
   TreeAgg MatchingSamples(int leaf, const AggQuery& q, double* stratum_size,
                           int column) const;
-  /// Frontier lookup (Sec. 2.3.2 step 1) against domain-clipped rectangles.
+  /// Frontier lookup (Sec. 2.3.2 step 1) against node rectangles clipped to
+  /// the observed data domain. Tree rectangles are unbounded at the edges (so
+  /// routing never loses a tuple); clipping makes the cover/partial
+  /// classification tight for boundary nodes. `cover` and `partial` come out
+  /// in a depth-first, right-subtree-first order, the order answers sum in.
   void Frontier(const Rectangle& q, std::vector<int>* cover,
                 std::vector<int>* partial) const;
   QueryResult QueryMinMax(const AggQuery& q) const;
@@ -232,11 +239,6 @@ class Dpt {
 
   /// Grow the observed data domain to include a predicate-space point.
   void GrowDomain(const double* point);
-  /// Node rectangle clipped to the observed data domain. Tree rectangles are
-  /// unbounded at the edges (so routing never loses a tuple); clipping makes
-  /// the cover/partial classification of the frontier tight for boundary
-  /// nodes.
-  Rectangle ClippedRect(int node) const;
 
   DptOptions opts_;
   PartitionTreeSpec spec_;

@@ -627,9 +627,13 @@ bool ReoptRun::AssembleArchive(Mutex* mu, const ColumnStore& live,
     while (copy_pos_ < end) {
       const size_t stop =
           parked == parked_.end() ? end : std::min(parked->first, end);
-      if (stop > copy_pos_ && stop > live.size()) return false;
-      archive_->AppendRange(live, copy_pos_, stop);
-      copy_pos_ = stop;
+      // An empty range may start past a live table that has shrunk since
+      // Begin; only a non-empty one is read.
+      if (stop > copy_pos_) {
+        if (stop > live.size()) return false;
+        archive_->AppendRange(live, copy_pos_, stop);
+        copy_pos_ = stop;
+      }
       if (stop < end) {
         archive_->BulkAppend({parked->second});
         ++copy_pos_;

@@ -11,71 +11,32 @@
 
 namespace janus {
 
-struct DynamicKdTree::Node {
-  // Internal node: children non-null, leaf_points empty.
-  // Leaf: children null, points in leaf_points.
-  int split_dim = -1;
-  double split_val = 0;
-  Node* left = nullptr;
-  Node* right = nullptr;
-  std::vector<KdPoint> leaf_points;
-
-  // Subtree statistics.
-  size_t count = 0;
-  double sum = 0;
-  double sumsq = 0;
-  // Bounding box of the subtree's points (tight at build, grows on insert).
-  std::array<double, kMaxColumns> bb_lo{};
-  std::array<double, kMaxColumns> bb_hi{};
-
-  bool IsLeaf() const { return left == nullptr; }
-
-  void InitBox(int dims) {
-    for (int d = 0; d < dims; ++d) {
-      bb_lo[d] = std::numeric_limits<double>::max();
-      bb_hi[d] = std::numeric_limits<double>::lowest();
-    }
-  }
-  void GrowBox(const KdPoint& p, int dims) {
-    for (int d = 0; d < dims; ++d) {
-      bb_lo[d] = std::min(bb_lo[d], p.x[d]);
-      bb_hi[d] = std::max(bb_hi[d], p.x[d]);
-    }
-  }
-  void AddStats(const KdPoint& p) {
-    ++count;
-    sum += p.a;
-    sumsq += p.a * p.a;
-  }
-  void RemoveStats(const KdPoint& p) {
-    --count;
-    sum -= p.a;
-    sumsq -= p.a * p.a;
-  }
-};
-
-namespace {
-
-enum class BoxRelation { kDisjoint, kInside, kPartial };
-
-BoxRelation Classify(const Rectangle& rect, const double* lo, const double* hi,
-                     int dims) {
-  bool inside = true;
-  for (int d = 0; d < dims; ++d) {
-    if (hi[d] < rect.lo(d) || lo[d] > rect.hi(d)) return BoxRelation::kDisjoint;
-    if (lo[d] < rect.lo(d) || hi[d] > rect.hi(d)) inside = false;
-  }
-  return inside ? BoxRelation::kInside : BoxRelation::kPartial;
+KdBox KdBox::Unbounded() {
+  KdBox box;
+  box.lo.fill(-std::numeric_limits<double>::infinity());
+  box.hi.fill(std::numeric_limits<double>::infinity());
+  return box;
 }
 
-bool PointInRect(const Rectangle& rect, const KdPoint& p, int dims) {
+KdBox KdBox::Of(const Rectangle& r) {
+  KdBox box = Unbounded();
+  const int dims = std::min(r.dims(), kMaxColumns);
   for (int d = 0; d < dims; ++d) {
-    if (p.x[d] < rect.lo(d) || p.x[d] > rect.hi(d)) return false;
+    box.lo[static_cast<size_t>(d)] = r.lo(d);
+    box.hi[static_cast<size_t>(d)] = r.hi(d);
   }
-  return true;
+  return box;
 }
 
-}  // namespace
+KdBox KdBox::Intersection(const Rectangle& a, const Rectangle& b) {
+  KdBox box = Of(a);
+  const int dims = std::min(a.dims(), kMaxColumns);
+  for (int d = 0; d < dims; ++d) {
+    box.lo[static_cast<size_t>(d)] = std::max(a.lo(d), b.lo(d));
+    box.hi[static_cast<size_t>(d)] = std::min(a.hi(d), b.hi(d));
+  }
+  return box;
+}
 
 DynamicKdTree::DynamicKdTree(int dims) : dims_(dims) {}
 
@@ -261,101 +222,54 @@ bool DynamicKdTree::Delete(const double* x, uint64_t id) {
 
 TreeAgg DynamicKdTree::RangeAggregate(const Rectangle& rect) const {
   TreeAgg agg;
-  if (!root_) return agg;
-  std::vector<const Node*> stack{root_};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (n->count == 0) continue;
-    const BoxRelation rel =
-        Classify(rect, n->bb_lo.data(), n->bb_hi.data(), dims_);
-    if (rel == BoxRelation::kDisjoint) continue;
+  if (root_ == nullptr) return agg;
+  const KdBox box = KdBox::Of(rect);
+  auto on_node = [&](const Node& n, BoxRelation rel) {
     if (rel == BoxRelation::kInside) {
-      agg.count += static_cast<double>(n->count);
-      agg.sum += n->sum;
-      agg.sumsq += n->sumsq;
-      continue;
+      agg.Add({static_cast<double>(n.count), n.sum, n.sumsq});
+      return false;
     }
-    if (n->IsLeaf()) {
-      for (const KdPoint& p : n->leaf_points) {
-        if (PointInRect(rect, p, dims_)) {
-          agg.count += 1;
-          agg.sum += p.a;
-          agg.sumsq += p.a * p.a;
-        }
-      }
-      continue;
+    if (!n.IsLeaf()) return true;
+    for (const KdPoint& p : n.leaf_points) {
+      if (Contains(box, p)) agg.Add({1.0, p.a, p.a * p.a});
     }
-    stack.push_back(n->left);
-    stack.push_back(n->right);
-  }
+    return false;
+  };
+  Walk(root_, box, on_node);
   return agg;
 }
 
 void DynamicKdTree::Report(const Rectangle& rect,
                            std::vector<KdPoint>* out) const {
-  if (!root_) return;
-  std::vector<const Node*> stack{root_};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (n->count == 0) continue;
-    const BoxRelation rel =
-        Classify(rect, n->bb_lo.data(), n->bb_hi.data(), dims_);
-    if (rel == BoxRelation::kDisjoint) continue;
-    if (n->IsLeaf()) {
-      for (const KdPoint& p : n->leaf_points) {
-        if (rel == BoxRelation::kInside || PointInRect(rect, p, dims_)) {
-          out->push_back(p);
-        }
-      }
-      continue;
-    }
-    stack.push_back(n->left);
-    stack.push_back(n->right);
-  }
+  ForEachIn(KdBox::Of(rect), [out](const KdPoint& p) { out->push_back(p); });
 }
 
 TreeAgg DynamicKdTree::MaxSumsqCell(const Rectangle& rect, size_t cap) const {
   TreeAgg best;
-  if (!root_) return best;
-  std::vector<const Node*> stack{root_};
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (n->count == 0) continue;
-    const BoxRelation rel =
-        Classify(rect, n->bb_lo.data(), n->bb_hi.data(), dims_);
-    if (rel == BoxRelation::kDisjoint) continue;
-    if (rel == BoxRelation::kInside && n->count <= cap) {
-      if (n->sumsq > best.sumsq) {
-        best.count = static_cast<double>(n->count);
-        best.sum = n->sum;
-        best.sumsq = n->sumsq;
+  if (root_ == nullptr) return best;
+  const KdBox box = KdBox::Of(rect);
+  auto on_node = [&](const Node& n, BoxRelation rel) {
+    if (rel == BoxRelation::kInside && n.count <= cap) {
+      if (n.sumsq > best.sumsq) {
+        best = {static_cast<double>(n.count), n.sum, n.sumsq};
       }
-      continue;  // maximal cell; no need to descend
+      return false;  // maximal cell; no need to descend
     }
-    if (n->IsLeaf()) {
-      // Partially covered leaf (or an inside leaf above cap, impossible as
-      // leaves hold <= 2*kLeafCapacity points): scan matching points as a
-      // single candidate cell if they fit under the cap.
-      TreeAgg agg;
-      for (const KdPoint& p : n->leaf_points) {
-        if (PointInRect(rect, p, dims_)) {
-          agg.count += 1;
-          agg.sum += p.a;
-          agg.sumsq += p.a * p.a;
-        }
-      }
-      if (agg.count > 0 && agg.count <= static_cast<double>(cap) &&
-          agg.sumsq > best.sumsq) {
-        best = agg;
-      }
-      continue;
+    if (!n.IsLeaf()) return true;
+    // Partially covered leaf (or an inside leaf above cap, impossible as
+    // leaves hold <= 2*kLeafCapacity points): scan matching points as a
+    // single candidate cell if they fit under the cap.
+    TreeAgg agg;
+    for (const KdPoint& p : n.leaf_points) {
+      if (Contains(box, p)) agg.Add({1.0, p.a, p.a * p.a});
     }
-    stack.push_back(n->left);
-    stack.push_back(n->right);
-  }
+    if (agg.count > 0 && agg.count <= static_cast<double>(cap) &&
+        agg.sumsq > best.sumsq) {
+      best = agg;
+    }
+    return false;
+  };
+  Walk(root_, box, on_node);
   return best;
 }
 

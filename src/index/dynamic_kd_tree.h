@@ -1,8 +1,10 @@
 #ifndef JANUS_INDEX_DYNAMIC_KD_TREE_H_
 #define JANUS_INDEX_DYNAMIC_KD_TREE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -24,13 +26,31 @@ struct KdPoint {
   uint64_t id = 0;
 };
 
+/// A closed box over the first coordinates of predicate space, held inline so
+/// that a walk on the query path allocates nothing. A box with lo > hi in
+/// some dimension is empty.
+struct KdBox {
+  std::array<double, kMaxColumns> lo{};
+  std::array<double, kMaxColumns> hi{};
+
+  /// The unbounded box: every point lies inside it.
+  static KdBox Unbounded();
+  /// The box of `r` (unbounded in the dimensions beyond r.dims()).
+  static KdBox Of(const Rectangle& r);
+  /// a ∩ b over the dimensions of `a`. With closed intervals a point with
+  /// ordered coordinates lies inside it exactly when it lies inside both.
+  static KdBox Intersection(const Rectangle& a, const Rectangle& b);
+};
+
 /// Dynamic multi-dimensional index over the pooled sample S. Replaces the
 /// paper's dynamic range tree (see DESIGN.md): a bucketed k-d tree with
 /// subtree aggregates (count, sum a, sum a^2) and partial-rebuild
 /// rebalancing. Supports:
 ///  * Insert / Delete in O(log m) amortized,
 ///  * rectangle aggregate queries (count, sum, sumsq),
-///  * rectangle reporting (leaf-stratum access for the multi-template mode),
+///  * box walks over the points inside a rectangle, allocation-free (a
+///    query sums a partial leaf's samples in place) or reported into a
+///    vector,
 ///  * enumeration of maximal "canonical cells" with at most `cap` points
 ///    inside a rectangle — the building block of the AVG max-variance index
 ///    (Appendix D.1).
@@ -54,10 +74,35 @@ class DynamicKdTree {
   /// Returns false if no such point exists.
   bool Delete(const double* x, uint64_t id);
 
-  /// Aggregates over all points inside `rect` (closed intervals).
+  /// Aggregates over all points inside `rect` (closed intervals). The count
+  /// is exact: it equals Report(rect)'s size.
   TreeAgg RangeAggregate(const Rectangle& rect) const;
 
-  /// Append every point inside `rect` to `out`.
+  /// Calls `visit(p)` on every point p inside `box` (closed intervals), in
+  /// report order: depth first, right subtree before left, each leaf's
+  /// points in storage order. A walk of a smaller box meets the points of a
+  /// larger one that it holds in the same relative order, so a running sum
+  /// over ForEachIn(KdBox::Intersection(a, b)) equals, bit for bit, the same
+  /// sum over Report(a) filtered by b. Allocates nothing.
+  ///
+  /// A NaN coordinate fails every comparison and never widens a bounding
+  /// box, so a point holding one is visited wherever its leaf's box meets
+  /// `box`. For such a point the equivalence above needs its leaf's box to
+  /// meet a ∩ b, not only a.
+  template <typename Visit>
+  void ForEachIn(const KdBox& box, Visit&& visit) const {
+    if (root_ == nullptr) return;
+    auto on_node = [&](const Node& n, BoxRelation rel) {
+      if (!n.IsLeaf()) return true;
+      for (const KdPoint& p : n.leaf_points) {
+        if (rel == BoxRelation::kInside || Contains(box, p)) visit(p);
+      }
+      return false;
+    };
+    Walk(root_, box, on_node);
+  }
+
+  /// Append every point inside `rect` to `out`, in report order.
   void Report(const Rectangle& rect, std::vector<KdPoint>* out) const;
 
   /// Among subtrees ("canonical cells") fully inside `rect` whose point count
@@ -91,7 +136,83 @@ class DynamicKdTree {
   void CheckInvariants() const;
 
  private:
-  struct Node;
+  enum class BoxRelation { kDisjoint, kInside, kPartial };
+
+  struct Node {
+    // Internal node: children non-null, leaf_points empty.
+    // Leaf: children null, points in leaf_points.
+    int split_dim = -1;
+    double split_val = 0;
+    Node* left = nullptr;
+    Node* right = nullptr;
+    std::vector<KdPoint> leaf_points;
+
+    // Subtree statistics.
+    size_t count = 0;
+    double sum = 0;
+    double sumsq = 0;
+    // Bounding box of the subtree's points (tight at build, grows on insert).
+    std::array<double, kMaxColumns> bb_lo{};
+    std::array<double, kMaxColumns> bb_hi{};
+
+    bool IsLeaf() const { return left == nullptr; }
+
+    void InitBox(int dims) {
+      for (int d = 0; d < dims; ++d) {
+        bb_lo[d] = std::numeric_limits<double>::max();
+        bb_hi[d] = std::numeric_limits<double>::lowest();
+      }
+    }
+    void GrowBox(const KdPoint& p, int dims) {
+      for (int d = 0; d < dims; ++d) {
+        bb_lo[d] = std::min(bb_lo[d], p.x[d]);
+        bb_hi[d] = std::max(bb_hi[d], p.x[d]);
+      }
+    }
+    void AddStats(const KdPoint& p) {
+      ++count;
+      sum += p.a;
+      sumsq += p.a * p.a;
+    }
+    void RemoveStats(const KdPoint& p) {
+      --count;
+      sum -= p.a;
+      sumsq -= p.a * p.a;
+    }
+  };
+
+  BoxRelation Classify(const KdBox& box, const Node& n) const {
+    bool inside = true;
+    for (int d = 0; d < dims_; ++d) {
+      if (n.bb_hi[d] < box.lo[d] || n.bb_lo[d] > box.hi[d]) {
+        return BoxRelation::kDisjoint;
+      }
+      if (n.bb_lo[d] < box.lo[d] || n.bb_hi[d] > box.hi[d]) inside = false;
+    }
+    return inside ? BoxRelation::kInside : BoxRelation::kPartial;
+  }
+
+  bool Contains(const KdBox& box, const KdPoint& p) const {
+    for (int d = 0; d < dims_; ++d) {
+      if (p.x[d] < box.lo[d] || p.x[d] > box.hi[d]) return false;
+    }
+    return true;
+  }
+
+  /// The walk under every box query: depth first from `n`, right subtree
+  /// before left, over the non-empty nodes whose box meets `box`.
+  /// `on_node(node, relation)` sees each one and returns whether to descend
+  /// into its children.
+  template <typename OnNode>
+  void Walk(const Node* n, const KdBox& box, OnNode& on_node) const {
+    if (n->count == 0) return;
+    const BoxRelation rel = Classify(box, *n);
+    if (rel == BoxRelation::kDisjoint || !on_node(*n, rel) || n->IsLeaf()) {
+      return;
+    }
+    Walk(n->right, box, on_node);
+    Walk(n->left, box, on_node);
+  }
 
   /// Recursive worker for CheckInvariants(); verifies `n`'s subtree and
   /// returns its recomputed aggregate.

@@ -1,5 +1,9 @@
 #include "index/dynamic_kd_tree.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -146,6 +150,106 @@ TEST_P(KdTreeDimTest, MixedChurnAgainstBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, KdTreeDimTest, ::testing::Values(1, 2, 3, 5));
+
+// A query answers a partial leaf by walking leaf ∩ predicate instead of
+// filtering Report(leaf). These trees are churned, so deletes have left
+// their boxes loose, and their coordinates sit on a small grid, so that
+// duplicates and coordinates equal to a cell's bounds are common.
+class KdPrunedWalkTest : public ::testing::TestWithParam<int> {};
+
+double GridCoord(Rng* rng) { return static_cast<double>(rng->NextUint64(12)); }
+
+/// A random grid rectangle; cell-like ones may be unbounded at an edge, as
+/// partition leaves at the domain's edge are.
+Rectangle GridRect(int dims, Rng* rng, bool open_edges) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> lo(static_cast<size_t>(dims)), hi(lo);
+  for (size_t d = 0; d < lo.size(); ++d) {
+    lo[d] = GridCoord(rng);
+    hi[d] = lo[d] + GridCoord(rng);
+    if (open_edges && rng->NextUint64(4) == 0) lo[d] = -inf;
+    if (open_edges && rng->NextUint64(4) == 0) hi[d] = inf;
+  }
+  return Rectangle(lo, hi);
+}
+
+TEST_P(KdPrunedWalkTest, MatchesFilteredReportBitForBit) {
+  const int dims = GetParam();
+  Rng rng(53 + static_cast<uint64_t>(dims));
+  DynamicKdTree tree(dims);
+  std::vector<KdPoint> live;
+  // A second column per point, looked up by id the way a query reads an
+  // extra tracked column.
+  std::unordered_map<uint64_t, double> other;
+  uint64_t next_id = 0;
+  for (int step = 0; step < 6000; ++step) {
+    if (live.empty() || rng.NextDouble() < 0.6) {
+      KdPoint p;
+      p.id = next_id++;
+      for (int d = 0; d < dims; ++d) p.x[d] = GridCoord(&rng);
+      // Mixed magnitudes: a different summation order changes the bits.
+      p.a = rng.Uniform(-1, 1) * std::pow(10.0, rng.NextUint64(9));
+      other[p.id] = rng.Uniform(-1, 1) * std::pow(10.0, rng.NextUint64(9));
+      tree.Insert(p);
+      live.push_back(p);
+    } else {
+      const size_t i = rng.NextUint64(live.size());
+      ASSERT_TRUE(tree.Delete(live[i].x.data(), live[i].id));
+      live[i] = live.back();
+      live.pop_back();
+    }
+  }
+  tree.CheckInvariants();
+
+  struct Seen {
+    std::vector<uint64_t> ids;
+    TreeAgg native;
+    TreeAgg looked_up;
+    double min = std::numeric_limits<double>::max();
+    double max = std::numeric_limits<double>::lowest();
+
+    void Add(const KdPoint& p, double v) {
+      ids.push_back(p.id);
+      native.Add({1.0, p.a, p.a * p.a});
+      looked_up.Add({1.0, v, v * v});
+      min = std::min(min, p.a);
+      max = std::max(max, p.a);
+    }
+  };
+  size_t nonempty = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const Rectangle cell = GridRect(dims, &rng, /*open_edges=*/true);
+    const Rectangle q = GridRect(dims, &rng, /*open_edges=*/false);
+    std::vector<KdPoint> reported;
+    tree.Report(cell, &reported);
+    // The stratum size is the exact count of the cell.
+    ASSERT_EQ(tree.RangeAggregate(cell).count,
+              static_cast<double>(reported.size()));
+
+    Seen want;
+    for (const KdPoint& p : reported) {
+      if (q.Contains(p.x.data())) want.Add(p, other.at(p.id));
+    }
+    Seen got;
+    tree.ForEachIn(KdBox::Intersection(cell, q),
+                   [&](const KdPoint& p) { got.Add(p, other.at(p.id)); });
+
+    SCOPED_TRACE("cell " + cell.ToString() + " query " + q.ToString());
+    ASSERT_EQ(got.ids, want.ids);
+    EXPECT_EQ(got.native.count, want.native.count);
+    EXPECT_EQ(got.native.sum, want.native.sum);
+    EXPECT_EQ(got.native.sumsq, want.native.sumsq);
+    EXPECT_EQ(got.looked_up.sum, want.looked_up.sum);
+    EXPECT_EQ(got.looked_up.sumsq, want.looked_up.sumsq);
+    EXPECT_EQ(got.min, want.min);
+    EXPECT_EQ(got.max, want.max);
+    if (!want.ids.empty()) ++nonempty;
+  }
+  // Many pairs share points: the comparison is not vacuous.
+  EXPECT_GT(nonempty, 75u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, KdPrunedWalkTest, ::testing::Values(1, 2, 3));
 
 TEST(KdTreeTest, DeleteMissingReturnsFalse) {
   DynamicKdTree tree(2);

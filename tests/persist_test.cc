@@ -486,6 +486,23 @@ void RunCrashRecoveryScenario(const std::string& engine_name, uint64_t seed,
           << AggFuncName(f) << " window " << i;
     }
   }
+  // Queries off the template match bitwise too: a predicate on the
+  // aggregate column, and an aggregate of the predicate column. All but the
+  // template-predicate COUNT answer from the pooled sample alone.
+  for (AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg}) {
+    AggQuery q;
+    q.func = f;
+    q.agg_column = 1;
+    q.predicate_columns = {1};
+    q.rect = Rectangle({8.0}, {11.5});
+    EXPECT_TRUE(SameResult(engine_a->Query(q), engine_b->Query(q)))
+        << AggFuncName(f) << " over a predicate on the aggregate column";
+    q.agg_column = 0;
+    q.predicate_columns = {0};
+    q.rect = Rectangle({0.2}, {0.9});
+    EXPECT_TRUE(SameResult(engine_a->Query(q), engine_b->Query(q)))
+        << AggFuncName(f) << " of the predicate column";
+  }
 
   // Stats converge to the same counters and footprints.
   const EngineStats sa = engine_a->Stats();
