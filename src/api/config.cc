@@ -134,7 +134,9 @@ ArgMap::ArgMap(const std::vector<std::string>& tokens) {
     if (eq != std::string::npos) {
       kv_[StripDashes(tok.substr(0, eq))] = tok.substr(eq + 1);
     } else if (!tok.empty()) {
-      kv_[StripDashes(tok)] = "1";
+      // std::string for the same GCC 12 -Wrestrict false positive
+      // (PR105329) as above, here at -O3.
+      kv_[StripDashes(tok)] = std::string("1");
     }
   }
 }

@@ -132,11 +132,27 @@ bool RunsMaintenanceThread(const EngineConfig& c) {
   return c.reopt_mode == "background";
 }
 
+/// The DP partitioner splits one predicate column, so a tree built by it
+/// over a wider template would ignore every other column's bounds and
+/// answer wrongly. Such a template is a typed error, never a silent one.
+void RequirePartitionable(PartitionAlgorithm algorithm,
+                          const std::vector<int>& predicate_columns) {
+  if (algorithm != PartitionAlgorithm::kDynamicProgram ||
+      predicate_columns.size() == 1) {
+    return;
+  }
+  throw ApiException(ApiErrorCode::kInvalidArgument,
+                     "algorithm=dp partitions one predicate column; the "
+                     "template has " +
+                         std::to_string(predicate_columns.size()));
+}
+
 /// "janus": the full JanusAQP system of Sec. 4/5.
 class JanusEngine : public AqpEngine {
  public:
   explicit JanusEngine(const EngineConfig& c)
       : impl_(MakeJanusOptions(c, &scan_counters_)) {
+    RequirePartitionable(c.algorithm, c.predicate_columns);
     if (RunsMaintenanceThread(c)) {
       // A trigger fire records a request and kicks the maintenance thread;
       // the thread drains requests through the three-stage pipeline, taking
@@ -256,6 +272,7 @@ class MultiEngine : public AqpEngine {
  public:
   explicit MultiEngine(const EngineConfig& c)
       : impl_(MakeJanusOptions(c, &scan_counters_)), inserts_(0), deletes_(0) {
+    RequirePartitionable(c.algorithm, c.predicate_columns);
     SynopsisSpec spec;
     spec.agg_column = c.agg_column;
     spec.predicate_columns = c.predicate_columns;
@@ -295,6 +312,7 @@ class MultiEngine : public AqpEngine {
       if (idx >= 0) return impl_.dpt(idx).Query(q);
     }
     WriterMutexLock lock(&template_mu_);
+    DiscoverTemplate(q);
     return impl_.Query(q);
   }
   std::vector<QueryResult> QueryBatchImpl(
@@ -304,14 +322,7 @@ class MultiEngine : public AqpEngine {
     // performs read-only tree lookups.
     {
       WriterMutexLock lock(&template_mu_);
-      for (const AggQuery& q : queries) {
-        if (impl_.TemplateFor(q.predicate_columns) < 0) {
-          SynopsisSpec spec;
-          spec.agg_column = q.agg_column;
-          spec.predicate_columns = q.predicate_columns;
-          impl_.AddTemplate(spec);
-        }
-      }
+      for (const AggQuery& q : queries) DiscoverTemplate(q);
     }
     return AqpEngine::QueryBatchImpl(queries, pool);
   }
@@ -432,6 +443,17 @@ class MultiEngine : public AqpEngine {
       }
     }
     return false;  // one rebuild per kick; later kicks coalesce
+  }
+
+  /// Template discovery (Sec. 5.5): add a tree for `q`'s template unless one
+  /// exists. template_mu_ held for writing.
+  void DiscoverTemplate(const AggQuery& q) const {
+    if (impl_.TemplateFor(q.predicate_columns) >= 0) return;
+    RequirePartitionable(impl_.options().algorithm, q.predicate_columns);
+    SynopsisSpec spec;
+    spec.agg_column = q.agg_column;
+    spec.predicate_columns = q.predicate_columns;
+    impl_.AddTemplate(spec);
   }
 
   scan::ScanCounters scan_counters_;
@@ -721,7 +743,9 @@ class SpnEngine : public AqpEngine {
 class SptEngine : public AqpEngine {
  public:
   explicit SptEngine(const EngineConfig& c)
-      : cfg_(c), exec_(MakeExec(c, &scan_counters_)), table_(c.schema) {}
+      : cfg_(c), exec_(MakeExec(c, &scan_counters_)), table_(c.schema) {
+    RequirePartitionable(c.algorithm, c.predicate_columns);
+  }
 
   const char* name() const override { return "spt"; }
   void LoadInitialImpl(const std::vector<Tuple>& rows) override {

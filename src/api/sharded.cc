@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <thread>
@@ -225,15 +226,24 @@ void ShardedEngine::ForEachShardParallel(
   }
   // Per-call latch, not pool-global WaitIdle: concurrent fan-outs (Stats
   // alongside QueryBatch — both readers under the new contract) must not
-  // wait on each other's shard tasks.
+  // wait on each other's shard tasks. Every task arrives, also when fn
+  // throws, and the first exception reaches the caller once all are done.
   CompletionLatch latch(shards_.size());
+  Mutex error_mu;
+  std::exception_ptr first_error;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    pool_.Submit([&fn, &latch, i] {
-      fn(i);
+    pool_.Submit([&fn, &latch, &error_mu, &first_error, i] {
+      try {
+        fn(i);
+      } catch (...) {
+        MutexLock lock(&error_mu);
+        if (first_error == nullptr) first_error = std::current_exception();
+      }
       latch.Arrive();
     });
   }
   latch.Wait();
+  if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
 void ShardedEngine::LoadInitialImpl(const std::vector<Tuple>& rows) {

@@ -107,7 +107,8 @@ class ShardedEngine : public AqpEngine {
  private:
   struct Shard;
 
-  /// Run fn(shard_index) for every shard on the fan-out pool and wait.
+  /// Run fn(shard_index) for every shard on the fan-out pool and wait for
+  /// all of them; then rethrow the first exception any call threw.
   void ForEachShardParallel(const std::function<void(size_t)>& fn) const;
 
   std::string name_;

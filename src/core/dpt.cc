@@ -210,8 +210,31 @@ void Dpt::InitializeExact(const ColumnStore& data,
 void Dpt::InitializeFromReservoir(const std::vector<Tuple>& reservoir,
                                   size_t n0) {
   ResetLeafStats(StatMode::kCatchup, static_cast<double>(n0));
-  for (const Tuple& t : reservoir) AddCatchupSample(t);
-  ResetSamples(reservoir);
+  const std::vector<KdPoint> pts = SamplePoints(reservoir);
+  // Four independent parts, each writing only its own members: the leaf
+  // seeding (leaf statistics, catch-up mass, domain), the id mirror, and the
+  // two halves of the sample index. Each runs as it would serially, so the
+  // tree is bit-identical under any worker count.
+  size_t workers = opts_.exec.pool == nullptr ? 1 : 4;
+  if (opts_.exec.max_workers > 0) {
+    workers = std::min(workers, opts_.exec.max_workers);
+  }
+  scan::ForEachIndex(opts_.exec, 4, workers, [&](size_t part) {
+    switch (part) {
+      case 0:
+        for (const Tuple& t : reservoir) AddCatchupSample(t);
+        break;
+      case 1:
+        MirrorSamples(reservoir);
+        break;
+      case 2:
+        samples_.BuildPart(MaxVarianceIndex::Part::kKdTree, pts);
+        break;
+      default:
+        samples_.BuildPart(MaxVarianceIndex::Part::kRankTree, pts);
+        break;
+    }
+  });
 }
 
 void Dpt::ApplyInsert(const Tuple& t) {
@@ -262,16 +285,25 @@ void Dpt::SampleRemove(const Tuple& t) {
 }
 
 void Dpt::ResetSamples(const std::vector<Tuple>& samples) {
+  MirrorSamples(samples);
+  samples_.Build(SamplePoints(samples));
+}
+
+std::vector<KdPoint> Dpt::SamplePoints(
+    const std::vector<Tuple>& samples) const {
   std::vector<KdPoint> pts;
   pts.reserve(samples.size());
-  sample_tuples_.clear();
-  sample_tuples_.reserve(samples.size());
   for (const Tuple& t : samples) {
     pts.push_back(MakeKdPoint(t, opts_.spec.predicate_columns,
                               opts_.spec.agg_column));
-    sample_tuples_[t.id] = t;
   }
-  samples_.Build(pts);
+  return pts;
+}
+
+void Dpt::MirrorSamples(const std::vector<Tuple>& samples) {
+  sample_tuples_.clear();
+  sample_tuples_.reserve(samples.size());
+  for (const Tuple& t : samples) sample_tuples_[t.id] = t;
 }
 
 void Dpt::AddCatchupSample(const Tuple& t) {
@@ -282,16 +314,19 @@ void Dpt::AddCatchupSample(const Tuple& t) {
   const int leaf = spec_.LeafFor(point);
   {
     MutexLock lock(&leaf_mu_[leaf]);
-    LeafStats& ls = leaf_stats_[static_cast<size_t>(leaf)];
-    for (size_t i = 0; i < tracked_columns_.size(); ++i) {
-      const double v = t[tracked_columns_[i]];
-      ls.columns[i].catchup.count += 1;
-      ls.columns[i].catchup.sum += v;
-      ls.columns[i].catchup.sumsq += v * v;
-    }
-    ls.minmax.Insert(t[opts_.spec.agg_column]);
+    AddCatchupToLeaf(t, &leaf_stats_[static_cast<size_t>(leaf)]);
   }
   catchup_total_.fetch_add(1.0);
+}
+
+void Dpt::AddCatchupToLeaf(const Tuple& t, LeafStats* ls) const {
+  for (size_t i = 0; i < tracked_columns_.size(); ++i) {
+    const double v = t[tracked_columns_[i]];
+    ls->columns[i].catchup.count += 1;
+    ls->columns[i].catchup.sum += v;
+    ls->columns[i].catchup.sumsq += v * v;
+  }
+  ls->minmax.Insert(t[opts_.spec.agg_column]);
 }
 
 void Dpt::AddCatchupSamples(const ColumnStore& snapshot,
@@ -342,16 +377,8 @@ void Dpt::AddCatchupSamples(const ColumnStore& snapshot,
   scan::ForEachIndex(opts_.exec, active.size(), plan.workers, [&](size_t a) {
     const size_t leaf = active[a];
     MutexLock lock(&leaf_mu_[leaf]);
-    LeafStats& ls = leaf_stats_[leaf];
     for (uint32_t i : by_leaf[leaf]) {
-      const Tuple& t = batch[i];
-      for (size_t c = 0; c < tracked_columns_.size(); ++c) {
-        const double v = t[tracked_columns_[c]];
-        ls.columns[c].catchup.count += 1;
-        ls.columns[c].catchup.sum += v;
-        ls.columns[c].catchup.sumsq += v * v;
-      }
-      ls.minmax.Insert(t[opts_.spec.agg_column]);
+      AddCatchupToLeaf(batch[i], &leaf_stats_[leaf]);
     }
   });
   catchup_total_.fetch_add(static_cast<double>(n));
@@ -887,6 +914,14 @@ void Dpt::CheckInvariants() const {
                         "placeholder spec carries leaf state");
     return;
   }
+  // A tree over fewer dimensions than the template ignores the other
+  // columns' bounds when it classifies nodes as covered.
+  invariants::Require(
+      static_cast<size_t>(spec_.dims) == opts_.spec.predicate_columns.size(),
+      "Dpt",
+      "tree partitions " + std::to_string(spec_.dims) +
+          " dimensions, the template has " +
+          std::to_string(opts_.spec.predicate_columns.size()));
   const size_t n = spec_.nodes.size();
   invariants::Require(
       leaf_stats_.size() == n && range_lo_.size() == n && range_hi_.size() == n,

@@ -109,7 +109,8 @@ class Dpt {
 
   /// Approximate initialization from the pooled reservoir only — the single
   /// blocking step of re-initialization (Sec. 4.3 step 2). `n0` is |D| at
-  /// the snapshot; estimates use N̂_i = (h_i/h) * n0.
+  /// the snapshot; estimates use N̂_i = (h_i/h) * n0. Its independent parts
+  /// run in parallel on opts.exec; the result is the same at any width.
   void InitializeFromReservoir(const std::vector<Tuple>& reservoir, size_t n0);
 
   // --- maintenance (Sec. 4.1); thread-safe per leaf ------------------------
@@ -217,6 +218,8 @@ class Dpt {
   };
 
   int TrackedIndex(int column) const;  // -1 if untracked
+  /// One catch-up draw's moments and min/max, into its leaf's statistics.
+  void AddCatchupToLeaf(const Tuple& t, LeafStats* ls) const;
   void ComputeLeafRanges();
   /// Zero every leaf's statistics and set the (mode, n0) bookkeeping.
   void ResetLeafStats(StatMode mode, double n0);
@@ -239,6 +242,10 @@ class Dpt {
 
   /// Grow the observed data domain to include a predicate-space point.
   void GrowDomain(const double* point);
+  /// The pooled-sample index's points for `samples`, in order.
+  std::vector<KdPoint> SamplePoints(const std::vector<Tuple>& samples) const;
+  /// Replace the id -> tuple mirror of the pooled sample.
+  void MirrorSamples(const std::vector<Tuple>& samples);
 
   DptOptions opts_;
   PartitionTreeSpec spec_;

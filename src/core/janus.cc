@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 
 #include "core/partition.h"
@@ -10,6 +11,41 @@
 #include "util/timer.h"
 
 namespace janus {
+
+namespace {
+
+/// The tree an adoption retires and the catch-up engine that points into
+/// it. The holder's destructor hands both to `pool`, whose task frees the
+/// engine first; with no pool, or no room to queue the task, they are freed
+/// inline, in the same order (members destroy in reverse).
+class RetiredTree {
+ public:
+  explicit RetiredTree(ThreadPool* pool) : pool_(pool) {}
+  ~RetiredTree() {
+    if (pool_ == nullptr || (!dpt && !catchup)) return;
+    try {
+      auto parts = std::make_shared<RetiredTree>(nullptr);
+      parts->dpt = std::move(dpt);
+      parts->catchup = std::move(catchup);
+      pool_->Submit([parts] {
+        parts->catchup.reset();
+        parts->dpt.reset();
+      });
+    } catch (...) {
+      // Queueing failed; whatever was not queued is freed here.
+    }
+  }
+  RetiredTree(const RetiredTree&) = delete;
+  RetiredTree& operator=(const RetiredTree&) = delete;
+
+  std::unique_ptr<Dpt> dpt;
+  std::unique_ptr<CatchupEngine> catchup;
+
+ private:
+  ThreadPool* pool_;
+};
+
+}  // namespace
 
 SptOptions MakeSptOptions(const JanusOptions& o, const SynopsisSpec& spec) {
   SptOptions s;
@@ -490,26 +526,42 @@ void JanusAqp::BuildBackgroundReopt() {
 
 void JanusAqp::BuildReopt() {
   Reopt& r = reopt_;
+  ReoptRun::ArchiveCopy archive(&r.run, &update_mu_, table_.store(),
+                                opts_.exec.pool);
+  // An unconditional run always builds, so its archive copy starts now,
+  // beside the optimizer; a drift run starts it once the candidate wins.
+  if (!r.drift) archive.Start();
+  const bool built = BuildSide(&archive);
+  // Joined on every path, so what the copy threw reaches this thread.
+  if (archive.Join(/*complete=*/built) && built) {
+    r.run.PreDrain(&update_mu_, opts_.reopt_delta_tail);
+  }
+}
+
+bool JanusAqp::BuildSide(ReoptRun::ArchiveCopy* archive) {
+  Reopt& r = reopt_;
   Timer optimize;
   PartitionResult pr = OptimizePartition(
       r.run.snapshot(), MakeSptOptions(opts_, opts_.spec), r.run.n0());
   r.partition_seconds = optimize.ElapsedSeconds();
-  if (!pr.ok) return;  // the run never becomes ready; Finish discards it
+  if (!pr.ok) return false;  // the run never becomes ready; Finish discards it
   r.cand_var = pr.achieved_error * pr.achieved_error;
   if (r.drift) {
     // Drift requests stay conditional (Sec. 5.4). Testing before the side
     // build means a losing candidate never pays for one.
     ReaderMutexLock tree(&tree_mu_);
     MutexLock lock(&update_mu_);
-    if (dpt_.get() != r.live_at_begin || !BeatsLiveTree(r.cand_var)) return;
+    if (dpt_.get() != r.live_at_begin || !BeatsLiveTree(r.cand_var)) {
+      return false;
+    }
     r.tested_at = r.run.captured();
   }
+  archive->Start();
   // Baselines here keep the per-leaf MaxVariance sweep out of the exclusive
   // adoption step.
   const Dpt* side = r.run.AddSide(MakeDptOptions(), std::move(pr.spec));
   r.baselines = ComputeBaselines(*side);
-  if (!r.run.AssembleArchive(&update_mu_, table_.store())) return;
-  r.run.PreDrain(&update_mu_, opts_.reopt_delta_tail);
+  return true;
 }
 
 bool JanusAqp::FinishBackgroundReopt() {
@@ -517,10 +569,10 @@ bool JanusAqp::FinishBackgroundReopt() {
   // Retired state is moved aside under the locks (O(1) pointer moves) and
   // freed only after they release: destroying the old tree's sample index
   // and the old catch-up's archive snapshot costs several milliseconds at
-  // 1M rows, and none of it belongs in the exclusive blocking window.
+  // 1M rows, and none of it belongs in the exclusive blocking window, nor,
+  // with a scan pool, on the thread that drives the run.
   // Declared before the lock guards so destructor order runs locks-first.
-  std::unique_ptr<Dpt> retired_dpt;
-  std::unique_ptr<CatchupEngine> retired_catchup;
+  RetiredTree retired_tree(opts_.exec.pool);
   Reopt retired;
   Timer blocking;
   WriterMutexLock tree(&tree_mu_);
@@ -549,12 +601,12 @@ bool JanusAqp::FinishBackgroundReopt() {
     return false;
   }
   r.run.Finish();
-  retired_dpt = std::move(dpt_);
+  retired_tree.dpt = std::move(dpt_);
   dpt_ = r.run.TakeSide(0);
   const size_t goal = static_cast<size_t>(
       opts_.catchup_rate * static_cast<double>(r.run.n0()));
   if (r.drift) r.catchup_seed = rng_.Next();
-  retired_catchup = std::move(catchup_);
+  retired_tree.catchup = std::move(catchup_);
   catchup_ = std::make_unique<CatchupEngine>(
       dpt_.get(), r.run.TakeArchive(), goal, r.catchup_seed);
   leaf_baseline_var_ = std::move(r.baselines);
@@ -610,6 +662,47 @@ Dpt* ReoptRun::AddSide(const DptOptions& opts, PartitionTreeSpec spec) {
   sides_.push_back(std::make_unique<Dpt>(opts, std::move(spec)));
   sides_.back()->InitializeFromReservoir(snapshot_, n0_);
   return sides_.back().get();
+}
+
+ReoptRun::ArchiveCopy::ArchiveCopy(ReoptRun* run, Mutex* mu,
+                                   const ColumnStore& live, ThreadPool* pool)
+    : run_(run),
+      mu_(mu),
+      live_(live),
+      pool_(pool),
+      gang_([this](size_t) { Copy(); }, 1) {}
+
+ReoptRun::ArchiveCopy::~ArchiveCopy() {
+  // Every normal exit joins, so this runs only while an exception leaves
+  // the stage; it must still wait for a pool thread inside the copy, and
+  // the exception in flight is the one the caller gets.
+  if (!started_ || joined_ || pool_ == nullptr) return;
+  try {
+    pool_->CloseGang(&gang_);
+  } catch (...) {
+  }
+}
+
+void ReoptRun::ArchiveCopy::Copy() {
+  copied_ = true;
+  ok_ = run_->AssembleArchive(mu_, live_);
+}
+
+void ReoptRun::ArchiveCopy::Start() {
+  if (started_) return;
+  started_ = true;
+  if (pool_ != nullptr) pool_->SubmitGang(&gang_);
+}
+
+bool ReoptRun::ArchiveCopy::Join(bool complete) {
+  if (!joined_) {
+    joined_ = true;
+    // CloseGang waits for a pool thread inside the copy and rethrows what
+    // it threw; once it returns, no pool thread can still enter.
+    if (started_ && pool_ != nullptr) pool_->CloseGang(&gang_);
+    if (started_ && complete && !copied_) Copy();
+  }
+  return ok_;
 }
 
 bool ReoptRun::AssembleArchive(Mutex* mu, const ColumnStore& live,

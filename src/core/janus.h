@@ -14,6 +14,7 @@
 #include "data/table.h"
 #include "sampling/reservoir.h"
 #include "util/mutex.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace janus {
@@ -76,7 +77,8 @@ SptOptions MakeSptOptions(const JanusOptions& o, const SynopsisSpec& spec);
 ///      reservoir change it caused.
 ///   2. The owner optimizes a partitioning per template on the snapshot and
 ///      AddSide()s a tree populated from it; AssembleArchive copies the
-///      Begin-time archive; PreDrain replays captured updates into the side
+///      Begin-time archive, on a pool thread beside the rest of the stage
+///      (ArchiveCopy); PreDrain replays captured updates into the side
 ///      trees until a short tail remains.
 ///   3. Finish replays the tail; the owner then swaps the side trees in and
 ///      restarts catch-up on the archive copy.
@@ -112,6 +114,38 @@ class ReoptRun {
   /// (the table was replaced mid-run).
   bool AssembleArchive(Mutex* mu, const ColumnStore& live,
                        size_t rows = SIZE_MAX);
+  /// AssembleArchive() of the whole archive, overlapping the rest of the
+  /// Build stage. Start() offers the copy to one thread of `pool`. Join()
+  /// waits for a pool thread inside it and rethrows what it threw; a started
+  /// copy no pool thread has entered, or any started copy with no pool, then
+  /// runs inline unless `complete` is false (the stage stops early). Join()
+  /// returns AssembleArchive's result, false for a copy that never ran. A
+  /// stage joins on every normal exit; the destructor covers an exception
+  /// leaving it, so the copy never outlives the run, table or mutex it reads.
+  class ArchiveCopy {
+   public:
+    ArchiveCopy(ReoptRun* run, Mutex* mu, const ColumnStore& live,
+                ThreadPool* pool);
+    ~ArchiveCopy();
+    ArchiveCopy(const ArchiveCopy&) = delete;
+    ArchiveCopy& operator=(const ArchiveCopy&) = delete;
+
+    void Start();
+    bool Join(bool complete = true);
+
+   private:
+    void Copy();
+
+    ReoptRun* run_;
+    Mutex* mu_;
+    const ColumnStore& live_;
+    ThreadPool* pool_;
+    GangTask gang_;
+    bool started_ = false;
+    bool joined_ = false;
+    bool copied_ = false;  ///< Copy() ran, on a pool thread or inline
+    bool ok_ = false;
+  };
   /// Replay captured updates into every side tree until at most `tail`
   /// remain. Bounded rounds: a hot update stream can outrun the drain.
   void PreDrain(Mutex* mu, size_t tail);
@@ -201,11 +235,15 @@ struct JanusCounters {
 ///      the snapshot. A drift request then runs the beta test of Sec. 5.4
 ///      against the live tree and stops if the candidate does not win.
 ///      Then builds the side tree, copies the Begin-time archive and
-///      pre-drains the capture down to reopt_delta_tail ops.
+///      pre-drains the capture down to reopt_delta_tail ops. The archive
+///      copy runs on the scan pool from the moment the run knows it builds:
+///      at once for an unconditional run, after the beta test for a drift
+///      run.
 ///   3. FinishBackgroundReopt(): full exclusion. Re-runs the beta test if
 ///      updates arrived since, replays the tail, swaps the synopsis pointer
 ///      and restarts catch-up on the archive copy. A drift run draws its
-///      catch-up seed here, so a rejected candidate draws nothing.
+///      catch-up seed here, so a rejected candidate draws nothing. The
+///      retired tree and catch-up engine are freed on the scan pool.
 /// Two drivers run the stages. By default the updater whose trigger fired
 /// runs them back to back on its own thread. When an owner registered a
 /// hook with SetReoptNotify(), a fire only records the request and calls the
@@ -354,6 +392,10 @@ class JanusAqp {
   bool BeginReopt(bool inline_run);
   /// Stage 2 body; BuildBackgroundReopt() times it.
   void BuildReopt();
+  /// Stage 2 up to the archive copy: the optimizer, a drift run's beta test
+  /// (which starts `archive` when the candidate wins) and the side tree.
+  /// False when the run stops there.
+  bool BuildSide(ReoptRun::ArchiveCopy* archive);
   /// All three stages back to back on the calling updater, for a pending
   /// request. Returns true if the side tree was adopted.
   bool RunReoptInline();

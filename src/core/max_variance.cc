@@ -25,16 +25,17 @@ MaxVarianceIndex::MaxVarianceIndex(const Options& opts)
     : opts_(opts), kd_(opts.dims) {}
 
 void MaxVarianceIndex::Build(const std::vector<KdPoint>& samples) {
-  kd_.Build(samples);
-  if (opts_.dims == 1) BuildTree1d(samples);
+  BuildPart(Part::kKdTree, samples);
+  BuildPart(Part::kRankTree, samples);
 }
 
-void MaxVarianceIndex::BuildRanks(const std::vector<KdPoint>& samples) {
-  kd_.Build({});
-  BuildTree1d(samples);
-}
-
-void MaxVarianceIndex::BuildTree1d(const std::vector<KdPoint>& samples) {
+void MaxVarianceIndex::BuildPart(Part part,
+                                 const std::vector<KdPoint>& samples) {
+  if (part == Part::kKdTree) {
+    kd_.Build(samples);
+    return;
+  }
+  if (opts_.dims != 1) return;
   std::vector<std::pair<double, double>> points;
   points.reserve(samples.size());
   for (const KdPoint& p : samples) points.emplace_back(p.x[0], p.a);

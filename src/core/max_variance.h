@@ -32,10 +32,9 @@ namespace janus {
 /// rank-range and 1-D MaxVariance query. Build() bulk-loads both: the treap
 /// comes out exactly as one Insert per sample would leave it, so a rebuilt
 /// index answers, persists and evolves bit-identically to an incrementally
-/// grown one. BuildRanks() loads the treap alone for a reader that never
-/// touches the k-d tree (the 1-D partitioners), and the partitioners read
-/// a RankTable of it: one O(m) pass, then O(1) per aggregate with the same
-/// bits as the treap's own O(log m) walks.
+/// grown one. The 1-D partitioners probe a RankTable instead
+/// (OrderStatTree::TabulateBuild of the samples, or Tabulate of tree1d()):
+/// O(1) per aggregate, with the same bits as the treap's O(log m) walks.
 class MaxVarianceIndex {
  public:
   struct Options {
@@ -61,10 +60,11 @@ class MaxVarianceIndex {
 
   /// Bulk-load the sample set.
   void Build(const std::vector<KdPoint>& samples);
-  /// 1-D only: bulk-load the rank tree and leave the k-d tree empty. Such
-  /// an index serves rank-range and MaxVariance queries; it is not meant
-  /// for Insert/Delete, kd() or CheckInvariants().
-  void BuildRanks(const std::vector<KdPoint>& samples);
+  /// Build() in its two independent halves, for a caller that runs them on
+  /// different threads: the k-d tree, and the rank tree (a no-op unless
+  /// dims == 1). The index is ready once both have run on the same samples.
+  enum class Part { kKdTree, kRankTree };
+  void BuildPart(Part part, const std::vector<KdPoint>& samples);
 
   void Insert(const KdPoint& p);
   bool Delete(const KdPoint& p);
@@ -79,7 +79,8 @@ class MaxVarianceIndex {
   /// primitive the binary-search partitioner iterates on.
   double MaxVarianceRankRange(size_t lo, size_t hi) const;
   double MaxVarianceRankRange(size_t lo, size_t hi, AggFunc f) const;
-  /// Same over `ranks`, a Tabulate() of tree1d(): bit-identical answers.
+  /// Same over `ranks`, a RankTable of the samples in place of tree1d():
+  /// bit-identical answers. Only the options of this index are read.
   double MaxVarianceRankRange(const RankTable& ranks, size_t lo,
                               size_t hi) const;
 
@@ -103,7 +104,6 @@ class MaxVarianceIndex {
   template <typename Ranks>
   double RankRangeVariance(const Ranks& ranks, size_t lo, size_t hi,
                            AggFunc f) const;
-  void BuildTree1d(const std::vector<KdPoint>& samples);
   double RectVariance(const Rectangle& r, AggFunc f) const;
 
   Options opts_;

@@ -28,10 +28,10 @@ int MultiTemplateJanus::AddTemplate(const SynopsisSpec& spec) {
   }
   Entry entry;
   entry.spec = spec;
+  // Built before it is listed: a template whose build throws leaves none.
+  if (initialized_) BuildEntry(&entry);
   entries_.push_back(std::move(entry));
-  const int idx = static_cast<int>(entries_.size()) - 1;
-  if (initialized_) BuildEntry(&entries_[static_cast<size_t>(idx)]);
-  return idx;
+  return static_cast<int>(entries_.size()) - 1;
 }
 
 DptOptions MultiTemplateJanus::MakeDptOptions(const SynopsisSpec& spec) const {
@@ -157,12 +157,16 @@ bool MultiTemplateJanus::BeginBackgroundRebuild() {
 
 void MultiTemplateJanus::BuildBackgroundRebuild() {
   if (!run_.active()) return;
+  // The archive copy runs on the scan pool while the trees are built.
+  ReoptRun::ArchiveCopy archive(&run_, &update_mu_, table_.store(),
+                                base_.exec.pool);
+  archive.Start();
   for (const SynopsisSpec& spec : run_specs_) {
     PartitionResult pr = OptimizePartition(
         run_.snapshot(), MakeSptOptions(base_, spec), run_.n0());
     run_.AddSide(MakeDptOptions(spec), std::move(pr.spec));
   }
-  if (!run_.AssembleArchive(&update_mu_, table_.store())) return;
+  if (!archive.Join()) return;
   run_.PreDrain(&update_mu_, base_.reopt_delta_tail);
 }
 

@@ -30,6 +30,8 @@ class MultiTemplateJanus {
   /// is ignored — templates are added explicitly or on demand.
   explicit MultiTemplateJanus(const JanusOptions& base);
 
+  const JanusOptions& options() const { return base_; }
+
   /// Register a template; returns its index. No-op (returning the existing
   /// index) when an identical template is already registered.
   int AddTemplate(const SynopsisSpec& spec);

@@ -5,10 +5,17 @@
 namespace janus {
 
 void MinMaxTracker::Insert(double v) {
-  bottom_.insert(v);
-  if (bottom_.size() > k_) bottom_.erase(std::prev(bottom_.end()));
-  top_.insert(v);
-  if (top_.size() > k_) top_.erase(std::prev(top_.end()));
+  // A multiset inserts after its equal keys, so on a full heap a value at
+  // or past the far end (NaN included) would be inserted and erased again:
+  // skip the pair.
+  if (bottom_.size() < k_ || (!bottom_.empty() && v < *bottom_.rbegin())) {
+    bottom_.insert(v);
+    if (bottom_.size() > k_) bottom_.erase(std::prev(bottom_.end()));
+  }
+  if (top_.size() < k_ || (!top_.empty() && v > *top_.rbegin())) {
+    top_.insert(v);
+    if (top_.size() > k_) top_.erase(std::prev(top_.end()));
+  }
 }
 
 void MinMaxTracker::Erase(double v) {

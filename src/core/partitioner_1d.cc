@@ -57,12 +57,10 @@ PartitionTreeSpec BuildBalanced1dTree(const std::vector<double>& boundaries) {
   return spec;
 }
 
-namespace {
-
-// The partitioners probe the index's rank tree through a RankTable of it:
-// the same answers as the tree, in O(1) each.
-PartitionResult EqualDepth(const MaxVarianceIndex& index,
-                           const RankTable& ranks, int num_leaves) {
+// The partitioners probe a RankTable of the samples: the same answers as
+// the index's rank tree, in O(1) each.
+PartitionResult BuildEqualDepth1D(const MaxVarianceIndex& index,
+                                  const RankTable& ranks, int num_leaves) {
   PartitionResult result;
   const size_t m = ranks.size();
   const size_t k = static_cast<size_t>(std::max(1, num_leaves));
@@ -93,11 +91,9 @@ PartitionResult EqualDepth(const MaxVarianceIndex& index,
   return result;
 }
 
-}  // namespace
-
 PartitionResult BuildEqualDepth1D(const MaxVarianceIndex& index,
                                   int num_leaves) {
-  return EqualDepth(index, index.tree1d().Tabulate(), num_leaves);
+  return BuildEqualDepth1D(index, index.tree1d().Tabulate(), num_leaves);
 }
 
 namespace {
@@ -105,6 +101,14 @@ namespace {
 // Greedy feasibility sweep: can the samples be covered by at most k maximal
 // buckets whose sqrt(max variance) is <= e? Appends the boundary ranks when
 // feasible.
+//
+// The binary search for each bucket's end assumes M([start, end)) never
+// falls as `end` grows (the monotonicity of Appendix D.2). Only COUNT's M
+// has it, and COUNT never gets here (it is equal-depth). Over 300k
+// one-sample extensions, SUM's M fell in 5.3% (normal values, to 0.71x) and
+// 6.9% (lognormal, to 0.59x) of them, and AVG's in 41-47% at the low end.
+// So a bucket can stop short of the longest one that fits, and "infeasible"
+// means "this sweep failed", not "no k-bucket partitioning meets e".
 bool FeasibleWithError(const MaxVarianceIndex& index, const RankTable& ranks,
                        size_t k, double e,
                        std::vector<size_t>* boundary_ranks) {
@@ -135,18 +139,23 @@ bool FeasibleWithError(const MaxVarianceIndex& index, const RankTable& ranks,
 
 PartitionResult BuildPartition1D(const MaxVarianceIndex& index,
                                  const Partitioner1dOptions& opts) {
+  return BuildPartition1D(index, index.tree1d().Tabulate(), opts);
+}
+
+PartitionResult BuildPartition1D(const MaxVarianceIndex& index,
+                                 const RankTable& ranks,
+                                 const Partitioner1dOptions& opts) {
   PartitionResult result;
-  const size_t m = index.tree1d().size();
+  const size_t m = ranks.size();
   const size_t k = static_cast<size_t>(std::max(1, opts.num_leaves));
   if (m == 0) {
     result.spec = BuildBalanced1dTree({});
     result.ok = true;
     return result;
   }
-  const RankTable ranks = index.tree1d().Tabulate();
   if (opts.focus == AggFunc::kCount) {
     // Equal-depth is optimal for COUNT in one dimension (Appendix D.2).
-    return EqualDepth(index, ranks, opts.num_leaves);
+    return BuildEqualDepth1D(index, ranks, opts.num_leaves);
   }
 
   // Error ladder E = {rho^t} spanning [L/(sqrt(2) N), N * U] — the union of
@@ -161,7 +170,7 @@ PartitionResult BuildPartition1D(const MaxVarianceIndex& index,
   const double N = static_cast<double>(std::max<size_t>(opts.data_size, m));
   if (U == 0) {
     // All aggregation values are zero: any partitioning has zero error.
-    return EqualDepth(index, ranks, opts.num_leaves);
+    return BuildEqualDepth1D(index, ranks, opts.num_leaves);
   }
   if (!std::isfinite(L)) L = U;
   const double ladder_lo = L / (std::sqrt(2.0) * N);
@@ -196,7 +205,7 @@ PartitionResult BuildPartition1D(const MaxVarianceIndex& index,
     // that fails (pathological), use equal depth.
     if (!FeasibleWithError(index, ranks, k, ladder.back() * rho,
                            &best_ranks)) {
-      return EqualDepth(index, ranks, opts.num_leaves);
+      return BuildEqualDepth1D(index, ranks, opts.num_leaves);
     }
   }
 

@@ -26,11 +26,18 @@ struct Partitioner1dOptions {
 /// is constructed directly in O(k log m).
 PartitionResult BuildPartition1D(const MaxVarianceIndex& index,
                                  const Partitioner1dOptions& opts);
+/// Same over `ranks`, a RankTable of the samples; `index` contributes its
+/// options only (OrderStatTree::TabulateBuild needs no built index).
+PartitionResult BuildPartition1D(const MaxVarianceIndex& index,
+                                 const RankTable& ranks,
+                                 const Partitioner1dOptions& opts);
 
 /// Equal-depth 1-D partitioning (the COUNT fast path; also the strata
 /// builder of the SRS baseline).
 PartitionResult BuildEqualDepth1D(const MaxVarianceIndex& index,
                                   int num_leaves);
+PartitionResult BuildEqualDepth1D(const MaxVarianceIndex& index,
+                                  const RankTable& ranks, int num_leaves);
 
 }  // namespace janus
 

@@ -1,6 +1,8 @@
 #include "core/spt.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "core/max_variance.h"
 #include "core/partitioner_1d.h"
@@ -34,18 +36,30 @@ PartitionResult OptimizePartition(const std::vector<Tuple>& samples,
       1, std::min(opts.num_leaves, static_cast<int>(samples.size() / 8)));
   const int dims = static_cast<int>(opts.spec.predicate_columns.size());
 
-  if (opts.algorithm == PartitionAlgorithm::kDynamicProgram) {
-    std::vector<std::pair<double, double>> pairs;
-    pairs.reserve(samples.size());
+  // The 1-D partitioners read (key, value) pairs: the DP directly, the
+  // binary-search and equal-depth ones through a RankTable of them.
+  const auto pairs = [&] {
+    std::vector<std::pair<double, double>> out;
+    out.reserve(samples.size());
     for (const Tuple& t : samples) {
-      pairs.emplace_back(t[opts.spec.predicate_columns[0]],
-                         t[opts.spec.agg_column]);
+      out.emplace_back(t[opts.spec.predicate_columns[0]],
+                       t[opts.spec.agg_column]);
+    }
+    return out;
+  };
+  if (opts.algorithm == PartitionAlgorithm::kDynamicProgram) {
+    // The DP splits one column; on a wider template its tree would ignore
+    // the other columns' bounds.
+    if (dims != 1) {
+      throw std::invalid_argument(
+          "the DP partitioner needs a one-column template, got " +
+          std::to_string(dims));
     }
     PartitionerDpOptions dp;
     dp.num_leaves = opts.num_leaves;
     dp.focus = opts.focus;
     dp.sampling_rate = opts.sample_rate;
-    return BuildPartitionDP(std::move(pairs), dp);
+    return BuildPartitionDP(pairs(), dp);
   }
 
   MaxVarianceIndex::Options mo;
@@ -54,9 +68,25 @@ PartitionResult OptimizePartition(const std::vector<Tuple>& samples,
   mo.sampling_rate = opts.sample_rate;
   mo.delta = opts.delta;
   MaxVarianceIndex index(mo);
-  // Project samples to kd points in work-stealing morsels: every point
-  // lands at its own index, so the result is bit-identical to the serial
-  // loop under any scheduling.
+  // The rank table is made straight from the pairs, with no index built:
+  // `index` lends only its options.
+  if (dims == 1 && (opts.algorithm == PartitionAlgorithm::kBinarySearch ||
+                    opts.algorithm == PartitionAlgorithm::kEqualDepth)) {
+    const RankTable ranks = OrderStatTree::TabulateBuild(pairs());
+    if (opts.algorithm == PartitionAlgorithm::kEqualDepth) {
+      return BuildEqualDepth1D(index, ranks, opts.num_leaves);
+    }
+    Partitioner1dOptions bo;
+    bo.num_leaves = opts.num_leaves;
+    bo.focus = opts.focus;
+    bo.rho = opts.rho;
+    bo.data_size = data_size;
+    return BuildPartition1D(index, ranks, bo);
+  }
+
+  // Every other case runs the k-d partitioner. Project samples to kd points
+  // in work-stealing morsels: every point lands at its own index, so the
+  // result is bit-identical to the serial loop under any scheduling.
   std::vector<KdPoint> pts(samples.size());
   {
     const scan::MorselPlan plan =
@@ -71,45 +101,12 @@ PartitionResult OptimizePartition(const std::vector<Tuple>& samples,
                           }
                         });
   }
-  // The 1-D binary-search and equal-depth partitioners read the rank tree
-  // alone; every other partitioner runs on the k-d tree.
-  const bool ranks_only =
-      dims == 1 && (opts.algorithm == PartitionAlgorithm::kBinarySearch ||
-                    opts.algorithm == PartitionAlgorithm::kEqualDepth);
-  if (ranks_only) {
-    index.BuildRanks(pts);
-  } else {
-    index.Build(pts);
-  }
-
-  switch (opts.algorithm) {
-    case PartitionAlgorithm::kEqualDepth:
-      if (dims == 1) return BuildEqualDepth1D(index, opts.num_leaves);
-      [[fallthrough]];
-    case PartitionAlgorithm::kKdTree: {
-      PartitionerKdOptions ko;
-      ko.num_leaves = opts.num_leaves;
-      ko.focus = opts.focus;
-      ko.exec = opts.exec;
-      return BuildPartitionKd(index, ko);
-    }
-    case PartitionAlgorithm::kBinarySearch:
-    default: {
-      if (dims != 1) {
-        PartitionerKdOptions ko;
-        ko.num_leaves = opts.num_leaves;
-        ko.focus = opts.focus;
-        ko.exec = opts.exec;
-        return BuildPartitionKd(index, ko);
-      }
-      Partitioner1dOptions bo;
-      bo.num_leaves = opts.num_leaves;
-      bo.focus = opts.focus;
-      bo.rho = opts.rho;
-      bo.data_size = data_size;
-      return BuildPartition1D(index, bo);
-    }
-  }
+  index.Build(pts);
+  PartitionerKdOptions ko;
+  ko.num_leaves = opts.num_leaves;
+  ko.focus = opts.focus;
+  ko.exec = opts.exec;
+  return BuildPartitionKd(index, ko);
 }
 
 SptBuildResult BuildSpt(const ColumnStore& data, const SptOptions& opts) {

@@ -53,7 +53,9 @@ SptBuildResult BuildSpt(const std::vector<Tuple>& data, const SptOptions& opts);
 SptBuildResult BuildSpt(const ColumnStore& data, const SptOptions& opts);
 
 /// Run only the partition optimizer over `samples` (no statistics scan);
-/// shared by BuildSpt and by JanusAQP re-optimization.
+/// shared by BuildSpt and by JanusAQP re-optimization. Throws
+/// std::invalid_argument for kDynamicProgram on a template of more than one
+/// predicate column.
 PartitionResult OptimizePartition(const std::vector<Tuple>& samples,
                                   const SptOptions& opts, size_t data_size);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace janus {
 
@@ -169,7 +170,11 @@ GeneratedDataset GenerateUniform(size_t n, int num_predicate_columns,
   ds.kind = DatasetKind::kIntelWireless;  // kind is irrelevant for tests
   ds.schema.column_names.clear();
   for (int c = 0; c < num_predicate_columns; ++c) {
-    ds.schema.column_names.push_back("p" + std::to_string(c));
+    // Appended, not "p" + to_string: GCC 12 at -O3 misreads that prepend
+    // as an overlapping memcpy (-Wrestrict, PR105329).
+    std::string name = "p";
+    name += std::to_string(c);
+    ds.schema.column_names.push_back(std::move(name));
   }
   ds.schema.column_names.push_back("agg");
   ds.rows.reserve(n);

@@ -29,6 +29,16 @@ inline __m256d BoundsMask(__m256d x, __m256d vlo, __m256d vhi) {
                        _mm256_cmp_pd(x, vhi, _CMP_NGT_UQ));
 }
 
+/// v[idx[0..3]], all four lanes. _mm256_i32gather_pd is the same vgatherdpd,
+/// but GCC 12's header hands the builtin an undefined source vector, which
+/// -Wmaybe-uninitialized flags; this form names a zero source and a full
+/// mask, so every lane is still gathered.
+inline __m256d Gather4(const double* v, __m128i idx) {
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), v, idx,
+                                  _mm256_castsi256_pd(_mm256_set1_epi64x(-1)),
+                                  8);
+}
+
 inline double HorizontalSum(__m256d a) {
   const __m128d lo = _mm256_castpd256_pd128(a);
   const __m128d hi = _mm256_extractf128_pd(a, 1);
@@ -128,7 +138,7 @@ size_t Avx2CompactInBounds(const double* v, uint32_t* sel, size_t n,
   for (; i + 4 <= n; i += 4) {
     const __m128i p =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + i));
-    const __m256d x = _mm256_i32gather_pd(v, p, 8);
+    const __m256d x = Gather4(v, p);
     const int bits = _mm256_movemask_pd(BoundsMask(x, vlo, vhi));
     const __m128i shuf =
         _mm_load_si128(reinterpret_cast<const __m128i*>(kLut.b[bits]));
@@ -169,7 +179,7 @@ double Avx2SumGather(const double* v, const uint32_t* sel, size_t n) {
   for (; i + 4 <= n; i += 4) {
     const __m128i p =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + i));
-    acc = _mm256_add_pd(acc, _mm256_i32gather_pd(v, p, 8));
+    acc = _mm256_add_pd(acc, Gather4(v, p));
   }
   double sum = HorizontalSum(acc);
   for (; i < n; ++i) sum += v[sel[i]];
@@ -237,7 +247,7 @@ void Avx2MinMaxGather(const double* v, const uint32_t* sel, size_t n,
   for (; i + 4 <= n; i += 4) {
     const __m128i p =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + i));
-    const __m256d x = _mm256_i32gather_pd(v, p, 8);
+    const __m256d x = Gather4(v, p);
     vmn = _mm256_min_pd(x, vmn);
     vmx = _mm256_max_pd(x, vmx);
   }

@@ -1,6 +1,8 @@
 #include "index/order_stat_tree.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -10,6 +12,99 @@
 #include "util/invariants.h"
 
 namespace janus {
+
+namespace {
+
+constexpr size_t kNone = std::numeric_limits<size_t>::max();
+
+/// Priority RNG seed of a fresh tree.
+constexpr uint64_t kPrioritySeed = 0xC0FFEE;
+
+bool HasNanKey(const std::vector<std::pair<double, double>>& points) {
+  return std::any_of(points.begin(), points.end(),
+                     [](const auto& p) { return std::isnan(p.first); });
+}
+
+/// A subtree's count and moment sums: what a node caches, and what the array
+/// layout keeps per slot.
+struct Sums {
+  size_t count = 1;
+  double sum = 0;
+  double sumsq = 0;
+};
+
+/// Pull()'s arithmetic, shared by the nodes and the array layout: the sums of
+/// a subtree from its root's value and its children's sums.
+template <typename S>
+void PullSums(S* s, double value, const S* left, const S* right) {
+  s->count = 1;
+  s->sum = value;
+  s->sumsq = value * value;
+  if (left) {
+    s->count += left->count;
+    s->sum += left->sum;
+    s->sumsq += left->sumsq;
+  }
+  if (right) {
+    s->count += right->count;
+    s->sum += right->sum;
+    s->sumsq += right->sumsq;
+  }
+}
+
+/// One right step of a root-to-rank walk: the left subtree, then the node.
+template <typename S>
+void AddLeftAndSelf(TreeAgg* agg, double value, const S* left) {
+  if (left) {
+    agg->count += static_cast<double>(left->count);
+    agg->sum += left->sum;
+    agg->sumsq += left->sumsq;
+  }
+  agg->count += 1;
+  agg->sum += value;
+  agg->sumsq += value * value;
+}
+
+/// The positions of `points` in the in-order Insert leaves them: ascending
+/// key, the later point first among equal keys (-0.0 equals +0.0, as `<`
+/// has it). No key may be NaN. An LSD radix sort over the keys'
+/// order-preserving bit patterns, a byte per pass; a pass whose byte is the
+/// same for every key is skipped, as it would keep the order anyway.
+std::vector<size_t> InsertOrder(
+    const std::vector<std::pair<double, double>>& points) {
+  const size_t n = points.size();
+  struct Item {
+    uint64_t bits;
+    size_t pos;
+  };
+  std::vector<Item> items(n);
+  std::vector<std::array<size_t, 257>> counts(8);
+  for (auto& c : counts) c.fill(0);
+  for (size_t j = 0; j < n; ++j) {
+    // Fed latest first: the stable passes keep that order among equal keys.
+    const size_t pos = n - 1 - j;
+    const double key = points[pos].first == 0 ? 0.0 : points[pos].first;
+    const uint64_t u = std::bit_cast<uint64_t>(key);
+    const uint64_t bits = (u >> 63) != 0 ? ~u : u | (uint64_t{1} << 63);
+    items[j] = {bits, pos};
+    for (int d = 0; d < 8; ++d) ++counts[d][((bits >> (8 * d)) & 0xFF) + 1];
+  }
+  std::vector<Item> next(n);
+  for (int d = 0; d < 8 && n > 0; ++d) {
+    std::array<size_t, 257>& at = counts[d];
+    if (at[((items[0].bits >> (8 * d)) & 0xFF) + 1] == n) continue;
+    for (size_t b = 0; b < 256; ++b) at[b + 1] += at[b];
+    for (const Item& item : items) {
+      next[at[(item.bits >> (8 * d)) & 0xFF]++] = item;
+    }
+    items.swap(next);
+  }
+  std::vector<size_t> order(n);
+  for (size_t r = 0; r < n; ++r) order[r] = items[r].pos;
+  return order;
+}
+
+}  // namespace
 
 struct OrderStatTree::Node {
   double key;
@@ -23,36 +118,32 @@ struct OrderStatTree::Node {
 
   Node(double k, double v, uint64_t pri) : key(k), value(v), priority(pri) {}
 
-  void Pull() {
-    count = 1;
-    sum = value;
-    sumsq = value * value;
-    if (left) {
-      count += left->count;
-      sum += left->sum;
-      sumsq += left->sumsq;
-    }
-    if (right) {
-      count += right->count;
-      sum += right->sum;
-      sumsq += right->sumsq;
-    }
-  }
-
-  // One right step of a root-to-rank walk: the left subtree, then the node.
+  void Pull() { PullSums(this, value, left, right); }
   void AddLeftAndSelf(TreeAgg* agg) const {
-    if (left) {
-      agg->count += static_cast<double>(left->count);
-      agg->sum += left->sum;
-      agg->sumsq += left->sumsq;
-    }
-    agg->count += 1;
-    agg->sum += value;
-    agg->sumsq += value * value;
+    janus::AddLeftAndSelf(agg, value, left);
   }
 };
 
-OrderStatTree::OrderStatTree() : rng_(0xC0FFEE) {}
+/// A treap laid out over arrays: slot i holds the point of rank i, and
+/// `left`/`right` hold child slots (kNone: no child).
+struct OrderStatTree::Layout {
+  std::vector<double> keys;
+  std::vector<double> values;
+  std::vector<uint64_t> priority;
+  std::vector<size_t> left;
+  std::vector<size_t> right;
+  /// Every slot once, each after its children; the root comes last.
+  std::vector<size_t> pulled;
+  /// Per slot, the subtree sums a node caches; sized by a tabulation only.
+  std::vector<Sums> sub;
+
+  explicit Layout(size_t n)
+      : keys(n), values(n), priority(n), left(n, kNone), right(n, kNone) {
+    pulled.reserve(n);
+  }
+};
+
+OrderStatTree::OrderStatTree() : rng_(kPrioritySeed) {}
 
 OrderStatTree::~OrderStatTree() { FreeTree(root_); }
 
@@ -126,49 +217,80 @@ void OrderStatTree::Insert(double key, double a) {
   ++size_;
 }
 
+OrderStatTree::Layout OrderStatTree::LayOut(
+    const std::vector<std::pair<double, double>>& points, Rng* rng) {
+  const size_t n = points.size();
+  // Insert draws each priority before placing its node.
+  std::vector<uint64_t> drawn(n);
+  for (uint64_t& p : drawn) p = rng->Next();
+  // Insert places a node before every equal key.
+  const std::vector<size_t> order = InsertOrder(points);
+  Layout l(n);
+  for (size_t r = 0; r < n; ++r) {
+    const size_t i = order[r];
+    l.keys[r] = points[i].first;
+    l.values[r] = points[i].second;
+    l.priority[r] = drawn[i];
+  }
+  // Cartesian tree by one pass over the right spine. Merge makes the right
+  // node the ancestor on a priority tie, hence the pop on <=. A slot leaves
+  // the spine only with both subtrees final, so it is pulled then.
+  std::vector<size_t> spine;
+  for (size_t r = 0; r < n; ++r) {
+    size_t left = kNone;
+    while (!spine.empty() && l.priority[spine.back()] <= l.priority[r]) {
+      left = spine.back();
+      spine.pop_back();
+      l.pulled.push_back(left);
+    }
+    l.left[r] = left;
+    if (!spine.empty()) l.right[spine.back()] = r;
+    spine.push_back(r);
+  }
+  for (; !spine.empty(); spine.pop_back()) l.pulled.push_back(spine.back());
+  return l;
+}
+
 void OrderStatTree::Build(
     const std::vector<std::pair<double, double>>& points) {
   Clear();
   // A NaN key has no sorted position; Insert's comparisons alone say where
   // it lands.
-  if (std::any_of(points.begin(), points.end(),
-                  [](const auto& p) { return std::isnan(p.first); })) {
+  if (HasNanKey(points)) {
     for (const auto& [key, a] : points) Insert(key, a);
     return;
   }
-  const size_t n = points.size();
-  // Insert draws each priority before placing its node.
-  std::vector<uint64_t> priority(n);
-  for (uint64_t& p : priority) p = rng_.Next();
-  // Insert places a node before every equal key, so in-order is ascending
-  // key, newest first among equal keys.
-  std::vector<std::pair<double, size_t>> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = {points[i].first, i};
-  std::sort(order.begin(), order.end(), [](const auto& x, const auto& y) {
-    return x.first < y.first || (x.first == y.first && x.second > y.second);
-  });
-  // Cartesian tree by one pass over the right spine. Merge makes the right
-  // node the ancestor on a priority tie, hence the pop on <=. A node leaves
-  // the spine only with both subtrees final, so it is pulled then.
-  std::vector<Node*> spine;
-  for (const auto& [key, i] : order) {
-    Node* node = new Node(key, points[i].second, priority[i]);
-    Node* left = nullptr;
-    while (!spine.empty() && spine.back()->priority <= node->priority) {
-      left = spine.back();
-      spine.pop_back();
-      left->Pull();
-    }
-    node->left = left;
-    if (!spine.empty()) spine.back()->right = node;
-    spine.push_back(node);
+  const Layout l = LayOut(points, &rng_);
+  std::vector<Node*> nodes(l.keys.size());
+  for (size_t r = 0; r < nodes.size(); ++r) {
+    nodes[r] = new Node(l.keys[r], l.values[r], l.priority[r]);
   }
-  while (!spine.empty()) {
-    root_ = spine.back();
-    spine.pop_back();
-    root_->Pull();
+  for (const size_t r : l.pulled) {
+    Node* node = nodes[r];
+    if (l.left[r] != kNone) node->left = nodes[l.left[r]];
+    if (l.right[r] != kNone) node->right = nodes[l.right[r]];
+    node->Pull();
   }
-  size_ = n;
+  root_ = nodes.empty() ? nullptr : nodes[l.pulled.back()];
+  size_ = nodes.size();
+}
+
+RankTable OrderStatTree::TabulateBuild(
+    const std::vector<std::pair<double, double>>& points) {
+  if (HasNanKey(points)) {
+    OrderStatTree tree;
+    tree.Build(points);
+    return tree.Tabulate();
+  }
+  Rng rng(kPrioritySeed);
+  Layout l = LayOut(points, &rng);
+  l.sub.resize(l.keys.size());
+  for (const size_t r : l.pulled) {
+    PullSums(&l.sub[r], l.values[r],
+             l.left[r] != kNone ? &l.sub[l.left[r]] : nullptr,
+             l.right[r] != kNone ? &l.sub[l.right[r]] : nullptr);
+  }
+  return TabulateLayout(std::move(l));
 }
 
 bool OrderStatTree::Delete(double key, double a) {
@@ -298,33 +420,43 @@ TreeAgg RankTable::RankRangeAggregate(size_t lo, size_t hi) const {
 }
 
 RankTable OrderStatTree::Tabulate() const {
-  RankTable table;
-  table.keys_.reserve(size_);
-  table.values_.reserve(size_);
-  table.prefix_.reserve(size_ + 1);
-  table.prefix_.emplace_back();
-  // In-order walk. Each frame carries what PrefixAggregate's walk has
-  // summed on reaching its node: a left step adds nothing, a right step
-  // adds the left subtree and the node. The walk for rank r + 1 ends with
-  // the right step off the node of rank r.
-  struct Frame {
-    const Node* node;
-    TreeAgg base;
-  };
-  std::vector<Frame> stack;
+  // Lay the tree out over slots, in order, then run the one prefix pass.
+  // A node's left child holds the slot before the left child's own right
+  // subtree.
+  Layout l(size_);
+  l.sub.resize(size_);
+  std::vector<const Node*> stack;
   const Node* t = root_;
-  TreeAgg base;
-  while (t || !stack.empty()) {
-    for (; t; t = t->left) stack.push_back({t, base});
-    const Frame f = stack.back();
+  for (size_t r = 0; t || !stack.empty(); ++r) {
+    for (; t; t = t->left) stack.push_back(t);
+    t = stack.back();
     stack.pop_back();
-    base = f.base;
-    f.node->AddLeftAndSelf(&base);
-    table.keys_.push_back(f.node->key);
-    table.values_.push_back(f.node->value);
-    table.prefix_.push_back(base);
-    t = f.node->right;
+    l.keys[r] = t->key;
+    l.values[r] = t->value;
+    l.sub[r] = {t->count, t->sum, t->sumsq};
+    if (t->left) {
+      l.left[r] = r - 1 - (t->left->right ? t->left->right->count : 0);
+    }
+    t = t->right;
   }
+  return TabulateLayout(std::move(l));
+}
+
+RankTable OrderStatTree::TabulateLayout(Layout l) {
+  const size_t n = l.keys.size();
+  RankTable table;
+  table.prefix_.resize(n + 1);
+  // PrefixAggregate's walk reaches slot r having added, at each right step,
+  // a left subtree and its node: the prefix at the first slot of r's
+  // subtree. The walk for rank r + 1 then adds r's left subtree and r.
+  for (size_t r = 0; r < n; ++r) {
+    const Sums* left = l.left[r] == kNone ? nullptr : &l.sub[l.left[r]];
+    TreeAgg after = table.prefix_[r - (left ? left->count : 0)];
+    AddLeftAndSelf(&after, l.values[r], left);
+    table.prefix_[r + 1] = after;
+  }
+  table.keys_ = std::move(l.keys);
+  table.values_ = std::move(l.values);
   return table;
 }
 

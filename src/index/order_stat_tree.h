@@ -37,7 +37,8 @@ struct TreeAgg {
 /// The rank structure of an OrderStatTree frozen into arrays: the key, the
 /// value and the prefix aggregate at every rank, answered in O(1). Every
 /// answer equals the tree's own bit for bit. It is a copy, made by
-/// OrderStatTree::Tabulate(), and does not follow later tree updates.
+/// OrderStatTree::Tabulate() (or TabulateBuild(), with no tree at all), and
+/// does not follow later tree updates.
 class RankTable {
  public:
   size_t size() const { return keys_.size(); }
@@ -59,15 +60,17 @@ class RankTable {
 ///   * O(log m) insert / delete,
 ///   * O(log m) rank / select (k-th smallest key),
 ///   * O(log m) aggregates over a key range or a rank range,
-///   * an O(m log m) bulk build and an O(m) RankTable of a fixed tree.
+///   * an O(m) bulk build (a radix sort of the keys, then one stack pass)
+///     and an O(m) RankTable of a fixed tree.
 /// Duplicate keys are allowed.
 ///
 /// A treap is the Cartesian tree of its (key, priority) pairs (Seidel and
 /// Aragon, 1996): its in-order sequence and priorities fix its shape, and
-/// Insert draws each priority from the tree's own RNG. So Build(points) can
-/// lay out, in one stack pass over the sorted points (Gabow, Bentley and
-/// Tarjan, 1984), the very tree that one Insert per point leaves, with the
-/// same cached aggregates and RNG state.
+/// Insert draws each priority from the tree's own RNG. So one stack pass
+/// over the sorted points (Gabow, Bentley and Tarjan, 1984) lays out, over
+/// arrays, the very tree that one Insert per point leaves. Build(points)
+/// allocates its nodes from that layout; TabulateBuild(points) turns it into
+/// a RankTable without allocating a node.
 class OrderStatTree {
  public:
   OrderStatTree();
@@ -81,9 +84,14 @@ class OrderStatTree {
 
   /// Replace the contents with `points` (key, value): the tree that Clear()
   /// followed by one Insert per point, in order, leaves — same shape,
-  /// priorities, aggregates and RNG state — in O(m log m) with no
+  /// priorities, aggregates and RNG state — in O(m) with no
   /// rebalancing. Priorities are drawn from the current RNG.
   void Build(const std::vector<std::pair<double, double>>& points);
+
+  /// The Tabulate() of a fresh tree after Build(points), bit for bit, made
+  /// over arrays: for a reader that only needs ranks (the 1-D partitioners).
+  static RankTable TabulateBuild(
+      const std::vector<std::pair<double, double>>& points);
 
   /// Delete one point equal to (key, a). Returns false if absent.
   bool Delete(double key, double a);
@@ -134,6 +142,14 @@ class OrderStatTree {
 
  private:
   struct Node;
+  struct Layout;
+
+  /// The spine pass: the treap that Clear() and one Insert per point leave,
+  /// over arrays, with priorities drawn from `rng`. No key may be NaN.
+  static Layout LayOut(const std::vector<std::pair<double, double>>& points,
+                       Rng* rng);
+  /// Tabulate()'s prefix pass over a layout whose subtree sums are set.
+  static RankTable TabulateLayout(Layout l);
 
   /// Recursive worker for CheckInvariants(); returns the verified node count
   /// of `n` and checks keys stay within [lo, hi].

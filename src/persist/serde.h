@@ -27,8 +27,12 @@ class PersistError : public std::runtime_error {
 class Writer {
  public:
   void Bytes(const void* p, size_t n) {
-    const uint8_t* b = static_cast<const uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    // resize + memcpy rather than a range insert, which GCC 12 misreads as
+    // an overflow (-Wstringop-overflow) once inlined into small writers.
+    if (n == 0) return;
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
 
   void U8(uint8_t v) { Bytes(&v, 1); }

@@ -1,6 +1,8 @@
 #include "core/dpt.h"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,7 +10,9 @@
 #include "core/spt.h"
 #include "data/generators.h"
 #include "data/ground_truth.h"
+#include "persist/serde.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace janus {
 namespace {
@@ -324,6 +328,47 @@ TEST_F(DptTest, CiCoversTruthMostOfTheTime) {
   }
   ASSERT_GT(total, 100);
   EXPECT_GT(static_cast<double>(covered) / total, 0.8);
+}
+
+TEST(DptSideTreeTest, PoolBuildIsBitIdenticalAtEveryWidth) {
+  // InitializeFromReservoir runs its parts (seeding, id mirror, k-d tree,
+  // rank tree) on the exec's pool. The tree must come out byte for byte as
+  // the serial build, at any pool width, in one and in two dimensions.
+  for (const int dims : {1, 2}) {
+    const GeneratedDataset ds = GenerateUniform(30000, dims, 61);
+    Rng rng(62);
+    std::vector<Tuple> pool_sample;
+    for (size_t i : rng.SampleIndices(ds.rows.size(), 3000)) {
+      pool_sample.push_back(ds.rows[i]);
+    }
+    SptOptions so;
+    so.spec.agg_column = dims;
+    for (int d = 0; d < dims; ++d) so.spec.predicate_columns.push_back(d);
+    so.num_leaves = 32;
+    const PartitionResult pr =
+        OptimizePartition(pool_sample, so, ds.rows.size());
+    ASSERT_TRUE(pr.ok);
+
+    auto saved = [&](ThreadPool* threads) {
+      DptOptions opts;
+      opts.spec = so.spec;
+      opts.sample_rate = 0.01;
+      opts.extra_tracked_columns = {0};
+      opts.exec.pool = threads;
+      Dpt dpt(opts, pr.spec);
+      dpt.InitializeFromReservoir(pool_sample, ds.rows.size());
+      dpt.CheckInvariants();
+      persist::Writer w;
+      dpt.SaveTo(&w);
+      return w.buffer();
+    };
+    const std::vector<uint8_t> serial = saved(nullptr);
+    for (const size_t width : {2, 4, 8}) {
+      ThreadPool threads(width);
+      EXPECT_EQ(saved(&threads), serial)
+          << dims << "-D side tree, " << width << " pool threads";
+    }
+  }
 }
 
 }  // namespace

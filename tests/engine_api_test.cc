@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -639,6 +640,56 @@ TEST(EngineConfigTest, FromArgsParsesEveryKnob) {
   EXPECT_FALSE(cfg.enable_triggers);
   EXPECT_EQ(cfg.seed, 9u);
   EXPECT_NE(cfg.ToString().find("engine=spt"), std::string::npos);
+}
+
+TEST(EngineConfigTest, DpOnAMultiColumnTemplateIsRejected) {
+  // The DP partitioner splits one column; on a two-column template its tree
+  // would ignore the second column's bounds and answer wrongly.
+  auto expect_rejected = [](const std::function<void()>& fn,
+                            const std::string& label) {
+    try {
+      fn();
+      ADD_FAILURE() << label << " accepted algorithm=dp on two columns";
+    } catch (const ApiException& e) {
+      EXPECT_EQ(e.code(), ApiErrorCode::kInvalidArgument) << label;
+      EXPECT_NE(std::string(e.what()).find("dp"), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const char* engine : {"janus", "multi", "spt", "sharded:janus"}) {
+    EngineConfig cfg = BaseConfig();
+    cfg.engine = engine;
+    cfg.predicate_columns = {0, 1};
+    cfg.algorithm = PartitionAlgorithm::kDynamicProgram;
+    expect_rejected([&] { (void)EngineRegistry::Create(cfg); }, engine);
+  }
+
+  // multi discovers a two-column template at query time: the query fails
+  // with the same typed error, and the engine keeps serving its template.
+  EngineConfig cfg = BaseConfig();
+  cfg.engine = "multi";
+  cfg.algorithm = PartitionAlgorithm::kDynamicProgram;
+  auto engine = EngineRegistry::Create(cfg);
+  auto ds = GenerateUniform(4000, 2, TestSeed() + 7);
+  engine->LoadInitial(ds.rows);
+  engine->Initialize();
+  AggQuery wide;
+  wide.func = AggFunc::kSum;
+  wide.agg_column = cfg.agg_column;
+  wide.predicate_columns = {0, 1};
+  wide.rect = Rectangle({0.0, 0.0}, {0.5, 0.5});
+  const QueryResult r = engine->Query(wide);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error_code,
+            static_cast<uint32_t>(ApiErrorCode::kInvalidArgument));
+  for (const QueryResult& b : engine->QueryBatch({wide}, nullptr)) {
+    EXPECT_FALSE(b.ok);
+  }
+  AggQuery narrow = wide;
+  narrow.predicate_columns = cfg.predicate_columns;
+  narrow.rect = Rectangle({0.0}, {0.5});
+  EXPECT_TRUE(engine->Query(narrow).ok);
+  EXPECT_EQ(engine->Stats().num_templates, 1u);
 }
 
 /// FromArgs on one `key=value` flag must throw kInvalidArgument naming both.

@@ -1,12 +1,17 @@
 #include "core/janus.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "core/multi.h"
 #include "data/generators.h"
 #include "data/ground_truth.h"
+#include "persist/serde.h"
 #include "util/thread_pool.h"
 
 namespace janus {
@@ -300,6 +305,127 @@ TEST(JanusTest, QueryLatencyIndependentOfTableSize) {
     // Frontier sizes are bounded by the tree, not the data.
     EXPECT_LE(r.covered_nodes, 64u);
     EXPECT_LE(r.partial_leaves, 4u);
+  }
+}
+
+/// Serialized bytes of any SaveTo-able part of a system.
+template <typename T>
+std::vector<uint8_t> SavedBytes(const T& part) {
+  persist::Writer w;
+  part.SaveTo(&w);
+  return w.buffer();
+}
+
+/// A sliding window over arrival order with a drifting aggregate: the
+/// oldest leaf drains (starvation fires) and the values drift (drift fires).
+void SlideWindow(JanusAqp* system, uint64_t first_id, uint64_t oldest,
+                 int ops) {
+  Rng rng(29);
+  for (int i = 0; i < ops; ++i) {
+    const uint64_t id = first_id + static_cast<uint64_t>(i);
+    Tuple t;
+    t.id = id;
+    t[0] = static_cast<double>(id);
+    t[1] = rng.Normal(10.0 + 1e-3 * static_cast<double>(i), 2.0);
+    system->Insert(t);
+    ASSERT_TRUE(system->Delete(oldest + static_cast<uint64_t>(i)));
+  }
+}
+
+TEST(JanusTest, PooledReoptimizationIsBitIdenticalToSerial) {
+  // With a scan pool a blocking fire copies the archive beside the
+  // optimizer, builds the side tree's parts in parallel and frees the
+  // retired tree on the pool. None of it may change a bit.
+  std::vector<Tuple> rows(20000);
+  Rng rng(27);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i].id = i;
+    rows[i][0] = static_cast<double>(i);
+    rows[i][1] = rng.Normal(10.0, 2.0);
+  }
+  auto run = [&](ThreadPool* threads) {
+    JanusOptions o = BaseOptions();
+    o.num_leaves = 16;
+    o.enable_triggers = true;
+    o.exec.pool = threads;
+    auto system = std::make_unique<JanusAqp>(o);
+    system->LoadInitial(rows);
+    system->Initialize();
+    SlideWindow(system.get(), rows.size(), 0, 12000);
+    system->RunCatchupToGoal();
+    return system;
+  };
+  const auto serial = run(nullptr);
+  ASSERT_GT(serial->counters().repartitions, 1u);
+  ASSERT_GT(serial->counters().trigger_fires,
+            serial->counters().repartitions);
+  for (const size_t width : {2, 4, 8}) {
+    ThreadPool threads(width);
+    const auto pooled = run(&threads);
+    const std::string label = std::to_string(width) + " pool threads";
+    EXPECT_EQ(pooled->counters().trigger_checks,
+              serial->counters().trigger_checks) << label;
+    EXPECT_EQ(pooled->counters().trigger_fires,
+              serial->counters().trigger_fires) << label;
+    EXPECT_EQ(pooled->counters().repartitions,
+              serial->counters().repartitions) << label;
+    EXPECT_EQ(SavedBytes(pooled->table()), SavedBytes(serial->table()))
+        << label;
+    EXPECT_EQ(SavedBytes(pooled->reservoir()),
+              SavedBytes(serial->reservoir())) << label;
+    EXPECT_EQ(SavedBytes(pooled->dpt()), SavedBytes(serial->dpt())) << label;
+    const AggQuery q = MakeQuery(AggFunc::kSum, 15000.0, 25000.0);
+    EXPECT_EQ(std::bit_cast<uint64_t>(pooled->Query(q).estimate),
+              std::bit_cast<uint64_t>(serial->Query(q).estimate)) << label;
+  }
+}
+
+TEST(JanusTest, PooledMultiRebuildIsBitIdenticalToSerial) {
+  // multi's rebuild runs through the same pipeline: archive copy on the
+  // pool, each template's side tree built in parallel parts.
+  const GeneratedDataset ds = GenerateUniform(20000, 2, 31);
+  auto run = [&](ThreadPool* threads) {
+    JanusOptions o = BaseOptions();
+    o.exec.pool = threads;
+    auto multi = std::make_unique<MultiTemplateJanus>(o);
+    SynopsisSpec one;
+    one.agg_column = 2;
+    one.predicate_columns = {0};
+    SynopsisSpec two;
+    two.agg_column = 2;
+    two.predicate_columns = {0, 1};
+    multi->AddTemplate(one);
+    multi->AddTemplate(two);
+    multi->LoadInitial(ds.rows);
+    multi->Initialize();
+    Rng rng(33);
+    for (int i = 0; i < 3000; ++i) {
+      Tuple t;
+      t.id = 100000 + static_cast<uint64_t>(i);
+      t[0] = rng.NextDouble();
+      t[1] = rng.NextDouble();
+      t[2] = rng.Normal(12.0, 3.0);
+      multi->Insert(t);
+      EXPECT_TRUE(multi->Delete(static_cast<uint64_t>(i) * 5));
+    }
+    EXPECT_TRUE(multi->Rebuild());
+    multi->RunCatchupToGoal();
+    // Every part but the catch-up engines, whose state carries wall-clock
+    // processing time; their draws land in the trees' statistics.
+    std::vector<uint8_t> bytes = SavedBytes(multi->table());
+    for (size_t i = 0; i < multi->num_templates(); ++i) {
+      const std::vector<uint8_t> tree =
+          SavedBytes(multi->dpt(static_cast<int>(i)));
+      bytes.insert(bytes.end(), tree.begin(), tree.end());
+    }
+    const std::vector<uint8_t> pool_bytes = SavedBytes(multi->reservoir());
+    bytes.insert(bytes.end(), pool_bytes.begin(), pool_bytes.end());
+    return bytes;
+  };
+  const std::vector<uint8_t> serial = run(nullptr);
+  for (const size_t width : {2, 4, 8}) {
+    ThreadPool threads(width);
+    EXPECT_EQ(run(&threads), serial) << width << " pool threads";
   }
 }
 

@@ -150,22 +150,31 @@ TEST(MaxVarianceTest, RankTableAnswersMatchTheTree) {
   }
 }
 
-TEST(MaxVarianceTest, RankOnlyBuildServesRankQueries) {
+TEST(MaxVarianceTest, PointRankTableServesRankQueries) {
+  // The 1-D optimizer's path: an unbuilt index (its options only) over a
+  // RankTable made straight from the points answers as the built index.
   const auto pts = RandomPoints1d(300, 43);
-  auto full = MakeIndex1d(pts, AggFunc::kSum);
-  MaxVarianceIndex::Options o;
-  o.dims = 1;
-  o.focus = AggFunc::kSum;
-  o.sampling_rate = 0.01;
-  o.delta = 0.25;
-  MaxVarianceIndex ranks_only(o);
-  ranks_only.BuildRanks(pts);
-  EXPECT_EQ(ranks_only.size(), pts.size());
-  EXPECT_EQ(ranks_only.kd().size(), 0u);
-  EXPECT_EQ(ranks_only.MaxVarianceRankRange(10, 250),
-            full->MaxVarianceRankRange(10, 250));
-  const Rectangle r({0.2}, {0.7});
-  EXPECT_EQ(ranks_only.MaxVariance(r), full->MaxVariance(r));
+  std::vector<std::pair<double, double>> points;
+  for (const KdPoint& p : pts) points.emplace_back(p.x[0], p.a);
+  const RankTable ranks = OrderStatTree::TabulateBuild(points);
+  for (AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg}) {
+    auto full = MakeIndex1d(pts, f);
+    MaxVarianceIndex::Options o;
+    o.dims = 1;
+    o.focus = f;
+    o.sampling_rate = 0.01;
+    o.delta = 0.25;
+    const MaxVarianceIndex unbuilt(o);
+    Rng rng(44);
+    for (int probe = 0; probe < 2000; ++probe) {
+      const size_t lo = rng.NextUint64(pts.size() + 1);
+      const size_t hi = lo + rng.NextUint64(pts.size() + 1 - lo);
+      const double want = full->MaxVarianceRankRange(lo, hi);
+      const double got = unbuilt.MaxVarianceRankRange(ranks, lo, hi);
+      ASSERT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+          << AggFuncName(f) << " [" << lo << ", " << hi << ")";
+    }
+  }
 }
 
 TEST(MaxVarianceTest, InsertDeleteKeepsIndexesConsistent) {

@@ -208,6 +208,8 @@ TEST(OrderStatTreeBuildTest, EmptyAndTinyInputsMatchInserts) {
   ExpectBuildMatchesInserts({{2.0, 1.0}, {1.0, 3.0}}, 0, &rng);
   ExpectBuildMatchesInserts({{2.0, 1.0}, {2.0, 1.0}}, 0, &rng);
   ExpectBuildMatchesInserts({{2.0, 1.0}, {2.0, -1.0}}, 0, &rng);
+  // -0.0 and +0.0 are equal keys: the later one goes first either way.
+  ExpectBuildMatchesInserts({{-0.0, 1.0}, {0.0, 2.0}, {-0.0, 3.0}}, 0, &rng);
 }
 
 TEST(OrderStatTreeBuildTest, RandomInputsMatchInserts) {
@@ -306,6 +308,62 @@ TEST(RankTableTest, MatchesTreeWalksAtEveryRank) {
       }
     }
   }
+}
+
+void ExpectSameTable(const RankTable& got, const RankTable& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    ASSERT_TRUE(SameBits(got.Select(r), want.Select(r))) << r;
+    ASSERT_TRUE(SameBits(got.SelectValue(r), want.SelectValue(r))) << r;
+  }
+  for (size_t r = 0; r <= got.size(); ++r) {
+    ASSERT_TRUE(SameBits(got.PrefixAggregate(r), want.PrefixAggregate(r)))
+        << "prefix " << r << " of " << got.size();
+  }
+}
+
+/// TabulateBuild(pts) against Build(pts) on a fresh tree, then Tabulate(),
+/// and against the tree one Insert per point leaves: the same key, value
+/// and prefix aggregate at every rank, bit for bit.
+void ExpectTabulateBuildMatches(const Points& pts) {
+  const RankTable got = OrderStatTree::TabulateBuild(pts);
+  OrderStatTree built;
+  built.Build(pts);
+  ExpectSameTable(got, built.Tabulate());
+  OrderStatTree inserted;
+  for (const auto& [key, a] : pts) inserted.Insert(key, a);
+  ExpectSameTable(got, inserted.Tabulate());
+}
+
+TEST(RankTableTest, TabulateBuildMatchesBuildThenTabulate) {
+  Rng rng(23);
+  for (size_t n = 0; n < 20; ++n) {
+    ExpectTabulateBuildMatches(RandomPoints(&rng, n, 3));
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = rng.NextUint64(600);
+    const uint64_t key_range = trial % 2 == 0 ? 7 : (uint64_t{1} << 40);
+    ExpectTabulateBuildMatches(RandomPoints(&rng, n, key_range));
+  }
+  ExpectTabulateBuildMatches(RandomPoints(&rng, 40000, uint64_t{1} << 40));
+}
+
+TEST(RankTableTest, TabulateBuildKeepsSignedZerosAndNanFallback) {
+  // -0.0 and +0.0 are equal keys, so insertion order decides their ranks;
+  // a NaN key sends both sides down the Insert path.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ExpectTabulateBuildMatches(
+      {{0.0, 1.0}, {-0.0, 2.0}, {1.0, 3.0}, {-0.0, 4.0}, {0.0, -5.0}});
+  ExpectTabulateBuildMatches(
+      {{3.0, 1.0}, {nan, 2.0}, {1.0, 3.0}, {nan, 4.0}, {-0.0, 5.0}});
+  Rng rng(24);
+  Points pts = RandomPoints(&rng, 500, 5);
+  for (auto& [key, a] : pts) {
+    if (key == 0) key = rng.NextDouble() < 0.5 ? -0.0 : 0.0;
+  }
+  ExpectTabulateBuildMatches(pts);
+  pts[pts.size() / 2].first = nan;
+  ExpectTabulateBuildMatches(pts);
 }
 
 }  // namespace
