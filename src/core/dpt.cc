@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "data/parallel_scan.h"
-#include "data/scan.h"
 #include "persist/common.h"
 #include "util/invariants.h"
 #include "util/stats.h"
@@ -119,13 +118,6 @@ void Dpt::ResetLeafStats(StatMode mode, double n0) {
     for (ColumnStats& c : leaf_stats_[i].columns) c = ColumnStats{};
     leaf_stats_[i].minmax.Clear();
   }
-}
-
-void Dpt::InitializeExact(const std::vector<Tuple>& data,
-                          const std::vector<Tuple>& reservoir) {
-  // Row-vector entry point (tests): transpose once, then run the one
-  // columnar implementation so the two paths cannot drift.
-  InitializeExact(scan::ToColumnStore(data, {}), reservoir);
 }
 
 void Dpt::InitializeExact(const ColumnStore& data,
@@ -385,9 +377,12 @@ void Dpt::AddCatchupSamples(const ColumnStore& snapshot,
 }
 
 double Dpt::LeafSampleCount(int node) const {
-  return samples_.kd()
-      .RangeAggregate(spec_.nodes[static_cast<size_t>(node)].rect)
-      .count;
+  const Rectangle& cell = LeafRect(node);
+  // Either way a sum of integers, so the same exact count.
+  if (samples_.RanksMirrorKd()) {
+    return samples_.tree1d().KeyRangeAggregate(cell.lo(0), cell.hi(0)).count;
+  }
+  return samples_.kd().RangeAggregate(cell).count;
 }
 
 double Dpt::LeafCountEstimate(int leaf) const {
@@ -434,15 +429,18 @@ double Dpt::NodeSumEstimate(int node, int column) const {
 
 TreeAgg Dpt::MatchingSamples(int leaf, const AggQuery& q, double* stratum_size,
                              int column) const {
-  const Rectangle& cell = LeafRect(leaf);
-  const DynamicKdTree& kd = samples_.kd();
   // m_i counts the samples in the closed cell: a sum of integers, so exact.
-  *stratum_size = kd.RangeAggregate(cell).count;
+  *stratum_size = LeafSampleCount(leaf);
+  const KdBox box = KdBox::Intersection(LeafRect(leaf), q.rect);
+  if (column == opts_.spec.agg_column && samples_.RanksMirrorKd()) {
+    // 1-D: the rank tree's subtree sums over cell ∩ q, in O(log m).
+    return samples_.tree1d().KeyRangeAggregate(box.lo[0], box.hi[0]);
+  }
   // The samples in cell ∩ q, added one by one in report order: the same
   // additions, in the same order, as filtering Report(cell) by q.
   TreeAgg match;
   auto add = [&match](double v) { match.Add({1.0, v, v * v}); };
-  const KdBox box = KdBox::Intersection(cell, q.rect);
+  const DynamicKdTree& kd = samples_.kd();
   if (column == opts_.spec.agg_column) {
     kd.ForEachIn(box, [&](const KdPoint& p) { add(p.a); });
   } else {
@@ -637,6 +635,8 @@ void Dpt::LoadFrom(persist::Reader* r) {
 
 void Dpt::Frontier(const Rectangle& q, std::vector<int>* cover,
                    std::vector<int>* partial) const {
+  cover->clear();
+  partial->clear();
   // Each node's rectangle is clipped in place, one dimension at a time.
   const int num_dims = dims();
   std::array<double, kMaxColumns> dom_lo{};
@@ -727,7 +727,7 @@ QueryResult Dpt::QueryMinMax(const AggQuery& q) const {
       q.predicate_columns != opts_.spec.predicate_columns) {
     return QuerySampleOnly(q);
   }
-  std::vector<int> cover, partial;
+  thread_local std::vector<int> cover, partial;  // reused: no allocation
   Frontier(q.rect, &cover, &partial);
   const bool want_min = q.func == AggFunc::kMin;
   double best = want_min ? std::numeric_limits<double>::max()
@@ -782,7 +782,8 @@ QueryResult Dpt::Query(const AggQuery& q) const {
   const int column = q.agg_column;
 
   QueryResult r;
-  std::vector<int> cover, partial;
+  // Reused by every query on this thread, so a warm query allocates nothing.
+  thread_local std::vector<int> cover, partial;
   Frontier(q.rect, &cover, &partial);
   r.covered_nodes = cover.size();
   r.partial_leaves = partial.size();
@@ -867,8 +868,8 @@ QueryResult Dpt::Query(const AggQuery& q) const {
     double eff;  // estimated matching population
     TreeAgg match;
   };
-  std::vector<PartialInfo> infos;
-  infos.reserve(partial.size());
+  thread_local std::vector<PartialInfo> infos;
+  infos.clear();
   double nq = 0;
   for (int i : cover) nq += n_hat(i);
   for (int i : partial) {

@@ -98,12 +98,9 @@ class Dpt {
   int dims() const { return spec_.dims; }
 
   /// Exact initialization from a full archive scan plus a pooled sample
-  /// (SPT construction, Sec. 2.3; also seeds the "DPT baseline").
-  void InitializeExact(const std::vector<Tuple>& data,
-                       const std::vector<Tuple>& reservoir);
-
-  /// Columnar variant: scans the archive's predicate/tracked columns
-  /// directly (no per-row Tuple materialization).
+  /// (SPT construction, Sec. 2.3; also seeds the "DPT baseline"). Scans the
+  /// archive's predicate/tracked columns directly (no per-row Tuple
+  /// materialization).
   void InitializeExact(const ColumnStore& data,
                        const std::vector<Tuple>& reservoir);
 
@@ -155,8 +152,17 @@ class Dpt {
   const Rectangle& LeafRect(int node) const {
     return spec_.nodes[static_cast<size_t>(node)].rect;
   }
-  /// Samples currently assigned to a leaf's stratum.
+  /// Samples currently assigned to a leaf's stratum (closed cell): the
+  /// starvation trigger's count, and a query's m_i. O(log m) in 1-D.
   double LeafSampleCount(int node) const;
+  /// A partial leaf's share of a query: its stratum size m_i, and count/sum/
+  /// sumsq of `column` over its samples inside q. In 1-D on the aggregate
+  /// column (while the rank tree mirrors the k-d tree) both are key-range
+  /// sums of the rank tree, O(log m) with no point walked; otherwise the
+  /// moments are summed in place over the k-d walk of leaf ∩ q. The stratum
+  /// is never copied, and nothing is allocated.
+  TreeAgg MatchingSamples(int leaf, const AggQuery& q, double* stratum_size,
+                          int column) const;
   /// Estimated population N̂_i + deltas of a node (leaf or internal).
   double NodeCountEstimate(int node) const;
   double NodeSumEstimate(int node, int column) const;
@@ -225,16 +231,12 @@ class Dpt {
   void ResetLeafStats(StatMode mode, double n0);
   double LeafCountEstimate(int leaf) const;
   double LeafSumEstimate(int leaf, int tracked_idx) const;
-  /// A partial leaf's share of a query: its stratum size m_i, and count/sum/
-  /// sumsq of `column` over its samples inside q. Sums in place over the
-  /// k-d walk of leaf ∩ q; the stratum is never copied.
-  TreeAgg MatchingSamples(int leaf, const AggQuery& q, double* stratum_size,
-                          int column) const;
   /// Frontier lookup (Sec. 2.3.2 step 1) against node rectangles clipped to
   /// the observed data domain. Tree rectangles are unbounded at the edges (so
   /// routing never loses a tuple); clipping makes the cover/partial
-  /// classification tight for boundary nodes. `cover` and `partial` come out
-  /// in a depth-first, right-subtree-first order, the order answers sum in.
+  /// classification tight for boundary nodes. `cover` and `partial` are
+  /// cleared, then filled in a depth-first, right-subtree-first order, the
+  /// order answers sum in.
   void Frontier(const Rectangle& q, std::vector<int>* cover,
                 std::vector<int>* partial) const;
   QueryResult QueryMinMax(const AggQuery& q) const;

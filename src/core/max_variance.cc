@@ -177,9 +177,9 @@ double MaxVarianceIndex::MaxVariance(const Rectangle& r) const {
 
 double MaxVarianceIndex::MaxVariance(const Rectangle& r, AggFunc f) const {
   if (opts_.dims == 1) {
-    // Use the exact rank-range machinery in one dimension.
+    // Use the exact rank-range machinery in one dimension: the keys in
+    // [lo, hi] hold the ranks from RankOf(lo) on, as many as their count.
     const size_t lo = tree1d_.RankOf(r.lo(0));
-    // Count keys <= hi.
     const TreeAgg range = tree1d_.KeyRangeAggregate(r.lo(0), r.hi(0));
     return RankRangeVariance(tree1d_, lo,
                              lo + static_cast<size_t>(range.count), f);

@@ -29,12 +29,17 @@ namespace janus {
 /// the error ladder.
 ///
 /// In 1-D a treap (OrderStatTree) mirrors the k-d tree and answers every
-/// rank-range and 1-D MaxVariance query. Build() bulk-loads both: the treap
-/// comes out exactly as one Insert per sample would leave it, so a rebuilt
-/// index answers, persists and evolves bit-identically to an incrementally
-/// grown one. The 1-D partitioners probe a RankTable instead
-/// (OrderStatTree::TabulateBuild of the samples, or Tabulate of tree1d()):
-/// O(1) per aggregate, with the same bits as the treap's O(log m) walks.
+/// rank-range and 1-D MaxVariance query, and, while RanksMirrorKd(), the
+/// key-range sums a query takes for a partially covered leaf (its stratum
+/// size and the moments of the samples inside the predicate): O(log m)
+/// subtree sums, exact by construction (Pull() recomputes them from the
+/// children), where the k-d tree walks points and maintains its sums by
+/// subtraction. Build() bulk-loads both: the treap comes out exactly as one
+/// Insert per sample would leave it, so a rebuilt index answers, persists
+/// and evolves bit-identically to an incrementally grown one. The 1-D
+/// partitioners probe a RankTable instead (OrderStatTree::TabulateBuild of
+/// the samples, or Tabulate of tree1d()): O(1) per aggregate, with the same
+/// bits as the treap's O(log m) walks.
 class MaxVarianceIndex {
  public:
   struct Options {
@@ -83,6 +88,16 @@ class MaxVarianceIndex {
   /// bit-identical answers. Only the options of this index are read.
   double MaxVarianceRankRange(const RankTable& ranks, size_t lo,
                               size_t hi) const;
+
+  /// 1-D only: whether tree1d() holds the k-d tree's points in key order,
+  /// so that its key-range sums stand for a walk of the k-d tree. A NaN key
+  /// has no place in that order, and a NaN value fails the rank tree's
+  /// Delete (the k-d tree's succeeds, so the sizes part); either sends
+  /// callers back to the k-d walk.
+  bool RanksMirrorKd() const {
+    return opts_.dims == 1 && tree1d_.nan_keys() == 0 &&
+           tree1d_.size() == kd_.size();
+  }
 
   /// Underlying indexes (read-only).
   const DynamicKdTree& kd() const { return kd_; }

@@ -9,7 +9,6 @@
 #include "core/partitioner_dp.h"
 #include "core/partitioner_kd.h"
 #include "data/parallel_scan.h"
-#include "data/scan.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -149,11 +148,6 @@ SptBuildResult BuildSpt(const ColumnStore& data, const SptOptions& opts) {
   result.synopsis->InitializeExact(data, samples);
   result.total_seconds = total.ElapsedSeconds();
   return result;
-}
-
-SptBuildResult BuildSpt(const std::vector<Tuple>& data,
-                        const SptOptions& opts) {
-  return BuildSpt(scan::ToColumnStore(data, {}), opts);
 }
 
 }  // namespace janus

@@ -45,10 +45,7 @@ struct SptBuildResult {
 /// Build a PASS-style static partition tree over `data`: draw an
 /// alpha-sample, optimize the partitioning on it with the chosen algorithm,
 /// then scan `data` once for exact node statistics and attach the sample as
-/// the leaf strata.
-SptBuildResult BuildSpt(const std::vector<Tuple>& data, const SptOptions& opts);
-
-/// Columnar variant: samples and the exact statistics scan read the archive's
+/// the leaf strata. Samples and the exact statistics scan read the archive's
 /// columns directly (no row materialization on the hot path).
 SptBuildResult BuildSpt(const ColumnStore& data, const SptOptions& opts);
 

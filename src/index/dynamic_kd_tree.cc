@@ -167,21 +167,16 @@ void DynamicKdTree::Insert(const KdPoint& p) {
 
 bool DynamicKdTree::Delete(const double* x, uint64_t id) {
   if (!root_) return false;
-  // Descend guided by splits; equal-to-split coordinates may live on either
-  // side of older splits, so fall back to exploring both when on the
-  // boundary. In practice the fast path almost always succeeds.
-  std::vector<Node*> path;
-  Node* leaf = nullptr;
-  size_t leaf_idx = 0;
-  // First locate the leaf containing the point (bounded search with box
-  // pruning).
-  std::vector<Node*> visit{root_};
-  std::vector<std::vector<Node*>> parents{{}};
-  while (!visit.empty()) {
-    Node* n = visit.back();
-    visit.pop_back();
-    std::vector<Node*> par = parents.back();
-    parents.pop_back();
+  // A point equal to an older split may sit on either side of it, so the
+  // splits cannot route the search: it is depth first, right subtree first,
+  // over the nodes whose (possibly loose) box holds x. A node at depth d is
+  // entered as delete_path_[d]; the entries above it are then its ancestors.
+  // Both stacks are kept across calls, so a delete allocates nothing.
+  delete_stack_.clear();
+  delete_stack_.push_back({root_, 0});
+  while (!delete_stack_.empty()) {
+    const auto [n, depth] = delete_stack_.back();
+    delete_stack_.pop_back();
     bool in_box = true;
     for (int d = 0; d < dims_; ++d) {
       if (x[d] < n->bb_lo[d] || x[d] > n->bb_hi[d]) {
@@ -190,34 +185,28 @@ bool DynamicKdTree::Delete(const double* x, uint64_t id) {
       }
     }
     if (!in_box) continue;
-    if (n->IsLeaf()) {
-      for (size_t i = 0; i < n->leaf_points.size(); ++i) {
-        if (n->leaf_points[i].id == id) {
-          leaf = n;
-          leaf_idx = i;
-          path = par;
-          path.push_back(n);
-          break;
-        }
-      }
-      if (leaf) break;
+    if (delete_path_.size() <= depth) delete_path_.resize(depth + 1);
+    delete_path_[depth] = n;
+    if (!n->IsLeaf()) {
+      delete_stack_.push_back({n->left, depth + 1});
+      delete_stack_.push_back({n->right, depth + 1});
       continue;
     }
-    par.push_back(n);
-    visit.push_back(n->left);
-    parents.push_back(par);
-    visit.push_back(n->right);
-    parents.push_back(par);
+    std::vector<KdPoint>& pts = n->leaf_points;
+    for (size_t i = 0; i < pts.size(); ++i) {
+      if (pts[i].id != id) continue;
+      const KdPoint p = pts[i];
+      pts[i] = pts.back();
+      pts.pop_back();
+      for (size_t d = 0; d <= depth; ++d) delete_path_[d]->RemoveStats(p);
+      --size_;
+      // Emptied subtrees are left in place: query traversals skip count == 0
+      // nodes and the next scapegoat rebuild on an insertion path reclaims
+      // them.
+      return true;
+    }
   }
-  if (!leaf) return false;
-  const KdPoint p = leaf->leaf_points[leaf_idx];
-  leaf->leaf_points[leaf_idx] = leaf->leaf_points.back();
-  leaf->leaf_points.pop_back();
-  for (Node* n : path) n->RemoveStats(p);
-  --size_;
-  // Emptied subtrees are left in place: query traversals skip count == 0
-  // nodes and the next scapegoat rebuild on an insertion path reclaims them.
-  return true;
+  return false;
 }
 
 TreeAgg DynamicKdTree::RangeAggregate(const Rectangle& rect) const {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "data/schema.h"
@@ -231,6 +232,10 @@ class DynamicKdTree {
   int dims_;
   size_t size_ = 0;
   Node* root_ = nullptr;
+  /// Delete()'s search stack of (node, depth) and its root-to-node path,
+  /// kept between calls for their capacity only.
+  std::vector<std::pair<Node*, size_t>> delete_stack_;
+  std::vector<Node*> delete_path_;
 };
 
 }  // namespace janus

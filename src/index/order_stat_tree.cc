@@ -158,6 +158,7 @@ void OrderStatTree::Clear() {
   FreeTree(root_);
   root_ = nullptr;
   size_ = 0;
+  nan_keys_ = 0;
 }
 
 OrderStatTree::Node* OrderStatTree::Merge(Node* a, Node* b) {
@@ -215,6 +216,7 @@ void OrderStatTree::Insert(double key, double a) {
   SplitByKey(root_, key, /*or_equal=*/false, &l, &r);
   root_ = Merge(Merge(l, node), r);
   ++size_;
+  if (std::isnan(key)) ++nan_keys_;
 }
 
 OrderStatTree::Layout OrderStatTree::LayOut(
@@ -333,6 +335,7 @@ bool OrderStatTree::Delete(double key, double a) {
         nodes.push_back(n);
       }
     }
+    if (std::isnan(target->key)) --nan_keys_;
     delete target;
     mid = nullptr;
     for (Node* n : nodes) mid = Merge(mid, n);
@@ -461,19 +464,40 @@ RankTable OrderStatTree::TabulateLayout(Layout l) {
 }
 
 TreeAgg OrderStatTree::KeyRangeAggregate(double lo, double hi) const {
-  const size_t rlo = RankOf(lo);
-  // Rank of first key strictly greater than hi: count of keys <= hi.
-  size_t rhi = 0;
-  const Node* t = root_;
-  while (t) {
-    if (t->key <= hi) {
-      rhi += (t->left ? t->left->count : 0) + 1;
-      t = t->right;
+  // The lower path is RankOf(lo)'s (right past a key < lo), the upper one
+  // counts the keys <= hi. Descend while they agree; from the node where they
+  // part, follow each one down and add every node and whole subtree that lies
+  // between them. Nothing is subtracted, so a narrow range keeps the relative
+  // precision of its own sums, and the nodes added are exactly those a
+  // difference of the two prefixes would count.
+  TreeAgg agg;
+  const auto add = [&agg](const Node* n) {
+    if (n) agg.Add({static_cast<double>(n->count), n->sum, n->sumsq});
+  };
+  const Node* split = root_;
+  while (split && (split->key < lo || !(split->key <= hi))) {
+    split = split->key < lo ? split->right : split->left;
+  }
+  if (!split) return agg;
+  agg.Add({1.0, split->value, split->value * split->value});
+  for (const Node* n = split->left; n;) {
+    if (n->key < lo) {
+      n = n->right;
     } else {
-      t = t->left;
+      agg.Add({1.0, n->value, n->value * n->value});
+      add(n->right);
+      n = n->left;
     }
   }
-  return RankRangeAggregate(rlo, rhi);
+  for (const Node* n = split->right; n;) {
+    if (n->key <= hi) {
+      n->AddLeftAndSelf(&agg);
+      n = n->right;
+    } else {
+      n = n->left;
+    }
+  }
+  return agg;
 }
 
 void OrderStatTree::SaveTo(persist::Writer* w) const {
@@ -483,8 +507,7 @@ void OrderStatTree::SaveTo(persist::Writer* w) const {
 }
 
 void OrderStatTree::LoadFrom(persist::Reader* r) {
-  FreeTree(root_);
-  root_ = nullptr;
+  Clear();
   size_ = r->Size();
   rng_.LoadFrom(r);
   root_ = LoadNode(r, 0);
@@ -514,6 +537,7 @@ OrderStatTree::Node* OrderStatTree::LoadNode(persist::Reader* r, int depth) {
   const double key = r->F64();
   const double value = r->F64();
   const uint64_t pri = r->U64();
+  if (std::isnan(key)) ++nan_keys_;
   Node* n = new Node(key, value, pri);
   n->left = LoadNode(r, depth + 1);
   n->right = LoadNode(r, depth + 1);

@@ -98,6 +98,10 @@ class OrderStatTree {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Points whose key is NaN. Such a key has no place in the order: while
+  /// one is held, key-range answers and ranks are not those of the points'
+  /// sorted order, and Delete(NaN, a) finds nothing.
+  size_t nan_keys() const { return nan_keys_; }
   void Clear();
 
   /// Number of points with key < `key`.
@@ -115,7 +119,12 @@ class OrderStatTree {
   /// Aggregates over rank range [lo, hi) in key order.
   TreeAgg RankRangeAggregate(size_t lo, size_t hi) const;
 
-  /// Aggregates over key range [lo, hi] (closed).
+  /// Aggregates over key range [lo, hi] (closed); empty when lo > hi. One
+  /// descent to the first key inside the range, then one walk down each of
+  /// its boundaries, adding whole in-range subtrees and nodes: O(log m), and
+  /// it never subtracts, so a narrow range over large values keeps its
+  /// relative precision (a difference of prefix sums would cancel). The
+  /// count is exact and equals RankOf-style prefix counting, NaN keys or not.
   TreeAgg KeyRangeAggregate(double lo, double hi) const;
 
   /// In-order dump of (key, value) pairs; O(n). For tests and rebuilds.
@@ -166,6 +175,7 @@ class OrderStatTree {
 
   Node* root_ = nullptr;
   size_t size_ = 0;
+  size_t nan_keys_ = 0;
   Rng rng_;
 };
 

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,9 +13,32 @@
 #include "core/spt.h"
 #include "data/generators.h"
 #include "data/ground_truth.h"
+#include "data/scan.h"
 #include "persist/serde.h"
+#include "tests/test_digest.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+
+namespace {
+
+// Heap allocations made on this thread while g_count_allocations is set:
+// counted by the replacement of the global operator new below.
+thread_local bool g_count_allocations = false;
+thread_local size_t g_allocations = 0;
+
+}  // namespace
+
+// Out of line, so that the compiler never pairs an inlined free() with a
+// new-expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (g_count_allocations) ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace janus {
 namespace {
@@ -38,6 +64,9 @@ class DptTest : public ::testing::Test {
     return std::make_unique<Dpt>(opts, BuildBalanced1dTree(boundaries));
   }
 
+  /// The archive, column by column, as InitializeExact scans it.
+  ColumnStore Store() const { return scan::ToColumnStore(ds_.rows, {}); }
+
   std::vector<Tuple> SampleRows(size_t k, uint64_t seed) {
     Rng rng(seed);
     std::vector<size_t> idx = rng.SampleIndices(ds_.rows.size(), k);
@@ -61,7 +90,7 @@ class DptTest : public ::testing::Test {
 
 TEST_F(DptTest, ExactModeSumIsExactOnAlignedQueries) {
   auto dpt = MakeDpt(16);
-  dpt->InitializeExact(ds_.rows, SampleRows(400, 1));
+  dpt->InitializeExact(Store(), SampleRows(400, 1));
   // Query aligned with bucket boundaries [4/16, 12/16].
   const AggQuery q = MakeQuery(AggFunc::kSum, 4.0 / 16, 12.0 / 16);
   const QueryResult r = dpt->Query(q);
@@ -75,7 +104,7 @@ TEST_F(DptTest, ExactModeSumIsExactOnAlignedQueries) {
 
 TEST_F(DptTest, ExactModeCountAndAvgCloseToTruth) {
   auto dpt = MakeDpt(32);
-  dpt->InitializeExact(ds_.rows, SampleRows(800, 2));
+  dpt->InitializeExact(Store(), SampleRows(800, 2));
   for (AggFunc f : {AggFunc::kCount, AggFunc::kAvg, AggFunc::kSum}) {
     const AggQuery q = MakeQuery(f, 0.13, 0.77);
     const QueryResult r = dpt->Query(q);
@@ -88,7 +117,7 @@ TEST_F(DptTest, ExactModeCountAndAvgCloseToTruth) {
 
 TEST_F(DptTest, FullyCoveredQueryIsFlaggedExact) {
   auto dpt = MakeDpt(8);
-  dpt->InitializeExact(ds_.rows, SampleRows(200, 3));
+  dpt->InitializeExact(Store(), SampleRows(200, 3));
   // Covers everything: only covered nodes, no partial leaves.
   const AggQuery q = MakeQuery(AggFunc::kSum, -10.0, 10.0);
   const QueryResult r = dpt->Query(q);
@@ -101,7 +130,7 @@ TEST_F(DptTest, FullyCoveredQueryIsFlaggedExact) {
 
 TEST_F(DptTest, InsertMaintainsExactStats) {
   auto dpt = MakeDpt(16);
-  dpt->InitializeExact(ds_.rows, SampleRows(400, 4));
+  dpt->InitializeExact(Store(), SampleRows(400, 4));
   auto rows = ds_.rows;
   Rng rng(5);
   for (int i = 0; i < 2000; ++i) {
@@ -120,7 +149,7 @@ TEST_F(DptTest, InsertMaintainsExactStats) {
 
 TEST_F(DptTest, DeleteMaintainsExactStats) {
   auto dpt = MakeDpt(16);
-  dpt->InitializeExact(ds_.rows, SampleRows(400, 6));
+  dpt->InitializeExact(Store(), SampleRows(400, 6));
   auto rows = ds_.rows;
   // Delete the first 3000 rows.
   for (int i = 0; i < 3000; ++i) dpt->ApplyDelete(ds_.rows[i]);
@@ -183,7 +212,7 @@ TEST_F(DptTest, CatchupModeTracksInsertDeleteDeltas) {
 
 TEST_F(DptTest, MinMaxQueries) {
   auto dpt = MakeDpt(16);
-  dpt->InitializeExact(ds_.rows, SampleRows(500, 11));
+  dpt->InitializeExact(Store(), SampleRows(500, 11));
   const AggQuery qmin = MakeQuery(AggFunc::kMin, -10.0, 10.0);
   const AggQuery qmax = MakeQuery(AggFunc::kMax, -10.0, 10.0);
   const auto tmin = ExactAnswer(ds_.rows, qmin);
@@ -197,7 +226,7 @@ TEST_F(DptTest, MinMaxOuterApproximationAfterHeavyDeletes) {
   opts.spec = spec_;
   opts.minmax_k = 4;  // tiny heaps to force degradation
   auto dpt = std::make_unique<Dpt>(opts, BuildBalanced1dTree({0.5}));
-  dpt->InitializeExact(ds_.rows, SampleRows(100, 12));
+  dpt->InitializeExact(Store(), SampleRows(100, 12));
   // Delete the 100 smallest aggregate values: exhausts the bottom heap.
   auto sorted = ds_.rows;
   std::sort(sorted.begin(), sorted.end(),
@@ -212,7 +241,7 @@ TEST_F(DptTest, MinMaxOuterApproximationAfterHeavyDeletes) {
 
 TEST_F(DptTest, SampleMaintenanceAffectsPartialEstimates) {
   auto dpt = MakeDpt(4, 0.01);
-  dpt->InitializeExact(ds_.rows, SampleRows(200, 13));
+  dpt->InitializeExact(Store(), SampleRows(200, 13));
   EXPECT_EQ(dpt->sample_size(), 200u);
   Tuple extra;
   extra.id = 5000000;
@@ -229,7 +258,7 @@ TEST_F(DptTest, SampleMaintenanceAffectsPartialEstimates) {
 TEST_F(DptTest, UntrackedAggColumnFallsBackToSamples) {
   // Query aggregates column 0 (the predicate column) which is not tracked.
   auto dpt = MakeDpt(16, 0.05);
-  dpt->InitializeExact(ds_.rows, SampleRows(2000, 14));
+  dpt->InitializeExact(Store(), SampleRows(2000, 14));
   AggQuery q;
   q.func = AggFunc::kSum;
   q.agg_column = 0;
@@ -257,7 +286,7 @@ TEST_F(DptTest, ExtraTrackedColumnAnsweredFromTree) {
   std::vector<size_t> idx = rng.SampleIndices(multi.rows.size(), 500);
   std::vector<Tuple> sample;
   for (size_t i : idx) sample.push_back(multi.rows[i]);
-  dpt.InitializeExact(multi.rows, sample);
+  dpt.InitializeExact(scan::ToColumnStore(multi.rows, {}), sample);
   // SUM over the *extra* tracked column 1 goes through node statistics.
   AggQuery q;
   q.func = AggFunc::kSum;
@@ -283,7 +312,7 @@ TEST_F(DptTest, MismatchedPredicateColumnsUseSampleFallback) {
   std::vector<size_t> idx = rng.SampleIndices(multi.rows.size(), 1000);
   std::vector<Tuple> sample;
   for (size_t i : idx) sample.push_back(multi.rows[i]);
-  dpt.InitializeExact(multi.rows, sample);
+  dpt.InitializeExact(scan::ToColumnStore(multi.rows, {}), sample);
   AggQuery q;
   q.func = AggFunc::kCount;
   q.agg_column = 2;
@@ -297,7 +326,7 @@ TEST_F(DptTest, MismatchedPredicateColumnsUseSampleFallback) {
 
 TEST_F(DptTest, NodeCountEstimatesSumToTotal) {
   auto dpt = MakeDpt(8);
-  dpt->InitializeExact(ds_.rows, SampleRows(100, 17));
+  dpt->InitializeExact(Store(), SampleRows(100, 17));
   double total = 0;
   for (int leaf : dpt->tree().leaves) total += dpt->NodeCountEstimate(leaf);
   EXPECT_NEAR(total, static_cast<double>(ds_.rows.size()), 1e-6);
@@ -369,6 +398,175 @@ TEST(DptSideTreeTest, PoolBuildIsBitIdenticalAtEveryWidth) {
           << dims << "-D side tree, " << width << " pool threads";
     }
   }
+}
+
+// --- 1-D partial leaves -----------------------------------------------------
+
+/// A 1-D Dpt (predicate column 0, aggregate column 1) with 16 equal leaves
+/// over [0, 1], initialized exactly over `rows` with pooled sample `pool`.
+std::unique_ptr<Dpt> OneDimDpt(const std::vector<Tuple>& rows,
+                               const std::vector<Tuple>& pool) {
+  DptOptions opts;
+  opts.spec.agg_column = 1;
+  opts.spec.predicate_columns = {0};
+  std::vector<double> boundaries;
+  for (int b = 1; b < 16; ++b) boundaries.push_back(b / 16.0);
+  auto dpt = std::make_unique<Dpt>(opts, BuildBalanced1dTree(boundaries));
+  dpt->InitializeExact(scan::ToColumnStore(rows, {}), pool);
+  return dpt;
+}
+
+AggQuery OneDimQuery(AggFunc f, double lo, double hi) {
+  AggQuery q;
+  q.func = f;
+  q.agg_column = 1;
+  q.predicate_columns = {0};
+  q.rect = Rectangle({lo}, {hi});
+  return q;
+}
+
+TEST(DptPartialLeafTest, OneDimMatchesBruteForceOverChurnedSample) {
+  // Keys on a coarse grid, so that samples sit on leaf and query bounds;
+  // values with a large mean, so that a sum which cancels would show. The
+  // pooled sample churns by SampleAdd, SampleRemove and ResetSamples.
+  Rng rng(71);
+  uint64_t next_id = 0;
+  auto row = [&] {
+    Tuple t;
+    t.id = next_id++;
+    t[0] = static_cast<double>(rng.NextUint64(161)) / 160.0;
+    t[1] = 1e4 + rng.Normal();
+    return t;
+  };
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 20000; ++i) rows.push_back(row());
+  std::vector<Tuple> pool(rows.begin(), rows.begin() + 800);
+  auto dpt = OneDimDpt(rows, pool);
+  constexpr double kTol = 64 * std::numeric_limits<double>::epsilon();
+  const std::vector<int>& leaves = dpt->tree().leaves;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 50; ++i) {
+      if (pool.empty() || rng.NextDouble() < 0.5) {
+        pool.push_back(row());
+        dpt->SampleAdd(pool.back());
+      } else {
+        const size_t j = rng.NextUint64(pool.size());
+        dpt->SampleRemove(pool[j]);
+        pool[j] = pool.back();
+        pool.pop_back();
+      }
+    }
+    if (round % 10 == 9) {
+      pool.resize(pool.size() / 2);
+      dpt->ResetSamples(pool);
+    }
+    ASSERT_TRUE(dpt->sample_index().RanksMirrorKd());
+    dpt->CheckInvariants();
+    for (int k = 0; k < 25; ++k) {
+      const int leaf = leaves[rng.NextUint64(leaves.size())];
+      double lo = static_cast<double>(rng.NextUint64(161)) / 160.0;
+      double hi = static_cast<double>(rng.NextUint64(161)) / 160.0;
+      if (lo > hi) std::swap(lo, hi);
+      const AggQuery q = OneDimQuery(AggFunc::kSum, lo, hi);
+      const Rectangle& cell = dpt->LeafRect(leaf);
+      double mi = 0;
+      long double count = 0, sum = 0, sumsq = 0;
+      for (const auto& [id, t] : dpt->sample_tuples()) {
+        const double x = t[0];
+        if (x < cell.lo(0) || x > cell.hi(0)) continue;
+        mi += 1;
+        if (x < lo || x > hi) continue;
+        count += 1;
+        sum += t[1];
+        sumsq += static_cast<long double>(t[1]) * t[1];
+      }
+      double got_mi = -1;
+      const TreeAgg got = dpt->MatchingSamples(leaf, q, &got_mi, 1);
+      ASSERT_EQ(got_mi, mi) << "leaf " << leaf;
+      ASSERT_EQ(dpt->LeafSampleCount(leaf), mi) << "leaf " << leaf;
+      ASSERT_EQ(got.count, static_cast<double>(count))
+          << "leaf " << leaf << " q [" << lo << ", " << hi << "]";
+      if (count == 0) continue;
+      EXPECT_LE(std::abs(got.sum - sum) / sum, kTol);
+      EXPECT_LE(std::abs(got.sumsq - sumsq) / sumsq, kTol);
+    }
+    for (const AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg}) {
+      const QueryResult r = dpt->Query(OneDimQuery(f, 0.1, 0.7));
+      EXPECT_TRUE(std::isfinite(r.estimate) && std::isfinite(r.ci_half_width));
+    }
+  }
+}
+
+TEST(DptPartialLeafTest, NanKeysAndValuesKeepTheKdWalk) {
+  // A NaN key has no place in the rank tree's order, and a NaN value fails
+  // its delete. Either way the Dpt answers from the k-d walk, as it did
+  // before the rank tree answered partial leaves: recorded digests.
+  const GeneratedDataset ds = GenerateUniform(20000, 1, 81);
+  Rng rng(82);
+  std::vector<Tuple> pool;
+  for (size_t i : rng.SampleIndices(ds.rows.size(), 400)) {
+    pool.push_back(ds.rows[i]);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto answers = [&](const Dpt& dpt) {
+    persist::Writer w;
+    Rng qrng(83);
+    for (int i = 0; i < 60; ++i) {
+      double lo = qrng.NextDouble();
+      double hi = qrng.NextDouble();
+      if (lo > hi) std::swap(lo, hi);
+      for (const AggFunc f :
+           {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg}) {
+        const QueryResult r = dpt.Query(OneDimQuery(f, lo, hi));
+        w.F64(r.estimate);
+        w.F64(r.ci_half_width);
+      }
+    }
+    return DigestHex(w);
+  };
+  Tuple odd;
+  odd.id = 900000;
+  odd[0] = nan;
+  odd[1] = 10.0;
+  auto nan_key = OneDimDpt(ds.rows, pool);
+  nan_key->SampleAdd(odd);
+  nan_key->SampleRemove(pool[7]);
+  EXPECT_EQ(nan_key->sample_index().tree1d().nan_keys(), 1u);
+  EXPECT_FALSE(nan_key->sample_index().RanksMirrorKd());
+  EXPECT_EQ(answers(*nan_key), "0x838d7f7da7a1c4e5");
+
+  odd[0] = 0.5;
+  odd[1] = nan;
+  auto nan_value = OneDimDpt(ds.rows, pool);
+  nan_value->SampleAdd(odd);
+  nan_value->SampleRemove(odd);
+  EXPECT_FALSE(nan_value->sample_index().RanksMirrorKd());
+  EXPECT_EQ(answers(*nan_value), "0x228f5987bf57f18c");
+}
+
+TEST(DptPartialLeafTest, OneDimQueriesAllocateNothing) {
+  // The frontier's lists are reused per thread and a partial leaf is summed
+  // from the rank tree, so a warm 1-D SUM/COUNT/AVG query allocates nothing.
+  const GeneratedDataset ds = GenerateUniform(20000, 1, 85);
+  const std::vector<Tuple> pool(ds.rows.begin(), ds.rows.begin() + 400);
+  auto dpt = OneDimDpt(ds.rows, pool);
+  std::vector<AggQuery> queries;
+  Rng rng(86);
+  const AggFunc funcs[] = {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg};
+  for (int i = 0; i < 90; ++i) {
+    double lo = rng.NextDouble();
+    double hi = rng.NextDouble();
+    if (lo > hi) std::swap(lo, hi);
+    queries.push_back(OneDimQuery(funcs[i % 3], lo, hi));
+  }
+  for (const AggQuery& q : queries) dpt->Query(q);  // warm this thread
+  double total = 0;
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (const AggQuery& q : queries) total += dpt->Query(q).estimate;
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_TRUE(std::isfinite(total));
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "persist/serde.h"
+#include "tests/test_digest.h"
 #include "util/rng.h"
 
 namespace janus {
@@ -344,6 +346,46 @@ TEST(KdTreeTest, DuplicateCoordinatesHandled) {
     ASSERT_TRUE(tree.Delete(coords, i));
   }
   EXPECT_EQ(tree.size(), 0u);
+}
+
+TEST(KdTreeTest, ChurnedTreeMatchesRecordedBytes) {
+  // A fixed stream of inserts and deletes over 2-D points whose first
+  // coordinate repeats on a coarse grid, so that many sit exactly on a
+  // split. Delete must find the same bucket and slot, and strip the same
+  // ancestors' statistics, as the build the digest was recorded from: the
+  // final SaveTo bytes (shape, cached sums, point order) hash the same.
+  DynamicKdTree tree(2);
+  std::vector<KdPoint> live;
+  Rng rng(57);
+  uint64_t next_id = 0;
+  auto fresh = [&] {
+    KdPoint p;
+    p.id = next_id++;
+    p.x[0] = static_cast<double>(rng.NextUint64(64)) / 64.0;
+    p.x[1] = rng.NextDouble();
+    p.a = rng.Uniform(-10, 10);
+    return p;
+  };
+  for (int i = 0; i < 1500; ++i) live.push_back(fresh());
+  tree.Build(live);
+  for (int step = 0; step < 6000; ++step) {
+    if (live.empty() || rng.NextDouble() < 0.5) {
+      live.push_back(fresh());
+      tree.Insert(live.back());
+      continue;
+    }
+    const size_t i = rng.NextUint64(live.size());
+    ASSERT_TRUE(tree.Delete(live[i].x.data(), live[i].id));
+    tree.CheckInvariants();
+    // Deleted, the id is gone from the same coordinates.
+    ASSERT_FALSE(tree.Delete(live[i].x.data(), live[i].id));
+    live[i] = live.back();
+    live.pop_back();
+  }
+  ASSERT_EQ(tree.size(), live.size());
+  persist::Writer w;
+  tree.SaveTo(&w);
+  EXPECT_EQ(DigestHex(w), "0x1f85f96d0b429d4b");
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "data/generators.h"
 #include "data/ground_truth.h"
 #include "persist/serde.h"
+#include "tests/test_digest.h"
 #include "util/thread_pool.h"
 
 namespace janus {
@@ -378,6 +379,112 @@ TEST(JanusTest, PooledReoptimizationIsBitIdenticalToSerial) {
     EXPECT_EQ(std::bit_cast<uint64_t>(pooled->Query(q).estimate),
               std::bit_cast<uint64_t>(serial->Query(q).estimate)) << label;
   }
+}
+
+/// One row of a sliding window over arrival order: the arrival time, a
+/// uniform second predicate, a drifting aggregate and an extra column.
+Tuple WindowRow(uint64_t id, Rng* rng) {
+  Tuple t;
+  t.id = id;
+  t[0] = static_cast<double>(id);
+  t[1] = rng->NextDouble();
+  t[2] = rng->Normal(10.0 + 1e-3 * static_cast<double>(id), 2.0);
+  t[3] = rng->Normal(5.0, 1.0);
+  return t;
+}
+
+TEST(JanusTest, SlidingWindowAnswersMatchRecordedDigests) {
+  // Two systems on one churned sliding window that re-partitions: a 2-D
+  // template, and a 1-D one that also tracks an extra column. Every answer
+  // below, and the trigger counters, hash to digests recorded from an
+  // earlier build, so a change that moves one bit of them fails here. 1-D
+  // SUM/AVG on the template's aggregate column are left out: they sum a
+  // partial leaf from the rank tree's subtree sums, in the tree's order
+  // (DptPartialLeafTest checks them against brute force).
+  constexpr uint64_t kRows = 20000;
+  constexpr uint64_t kSteps = 24000;
+  Rng data_rng(41);
+  std::vector<Tuple> rows;
+  for (uint64_t id = 0; id < kRows; ++id) {
+    rows.push_back(WindowRow(id, &data_rng));
+  }
+  JanusOptions two = BaseOptions();
+  two.spec.agg_column = 2;
+  two.spec.predicate_columns = {0, 1};
+  two.enable_triggers = true;
+  two.trigger_check_interval = 32;
+  JanusOptions one = two;
+  one.spec.predicate_columns = {0};
+  one.num_leaves = 16;
+  one.extra_tracked_columns = {3};
+  JanusAqp a(two);
+  JanusAqp b(one);
+  for (JanusAqp* s : {&a, &b}) {
+    s->LoadInitial(rows);
+    s->Initialize();
+  }
+
+  enum Path { k2d, k1dCount, k1dMinMax, k1dExtra, kOffTemplate, kPaths };
+  const char* const names[kPaths] = {"2-D SUM/COUNT/AVG", "1-D COUNT",
+                                     "1-D MIN/MAX", "1-D extra column",
+                                     "off-template"};
+  std::vector<persist::Writer> answers(kPaths);
+  auto answer = [&](Path path, const JanusAqp& s, AggFunc f,
+                    std::vector<int> pred, int agg, Rectangle rect) {
+    AggQuery q;
+    q.func = f;
+    q.agg_column = agg;
+    q.predicate_columns = std::move(pred);
+    q.rect = std::move(rect);
+    const QueryResult r = s.Query(q);
+    answers[path].F64(r.estimate);
+    answers[path].F64(r.ci_half_width);
+  };
+  Rng query_rng(43);
+  for (uint64_t step = 0; step < kSteps; ++step) {
+    const Tuple t = WindowRow(kRows + step, &data_rng);
+    for (JanusAqp* s : {&a, &b}) {
+      s->Insert(t);
+      ASSERT_TRUE(s->Delete(step));
+    }
+    if ((step + 1) % 1000 != 0) continue;
+    const double oldest = static_cast<double>(step + 1);
+    for (int k = 0; k < 4; ++k) {
+      const double lo = oldest + query_rng.Uniform(0, 0.8) * kRows;
+      const double hi = lo + query_rng.Uniform(0.01, 0.2) * kRows;
+      const double y0 = query_rng.Uniform(0, 0.5);
+      const double y1 = y0 + query_rng.Uniform(0.1, 0.5);
+      for (const AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg}) {
+        answer(k2d, a, f, {0, 1}, 2, Rectangle({lo, y0}, {hi, y1}));
+        answer(k1dExtra, b, f, {0}, 3, Rectangle({lo}, {hi}));
+      }
+      answer(k1dCount, b, AggFunc::kCount, {0}, 2, Rectangle({lo}, {hi}));
+      for (const AggFunc f : {AggFunc::kMin, AggFunc::kMax}) {
+        answer(k1dMinMax, b, f, {0}, 2, Rectangle({lo}, {hi}));
+      }
+      answer(kOffTemplate, b, AggFunc::kSum, {1}, 2, Rectangle({y0}, {y1}));
+    }
+  }
+  EXPECT_GT(a.counters().repartitions, 1u);
+  EXPECT_GT(b.counters().repartitions, 1u);
+  persist::Writer counters;
+  for (const JanusAqp* s : {&a, &b}) {
+    counters.U64(s->counters().trigger_checks);
+    counters.U64(s->counters().trigger_fires);
+    counters.U64(s->counters().repartitions);
+  }
+  const char* const expected[kPaths] = {
+      "0x7b8875791f2d9dc7", "0x95f1ae7454477e22", "0x97cae9b4e660911a",
+      "0xc801f1ea17e73094", "0x27a4354e779b3aae"};
+  for (int p = 0; p < kPaths; ++p) {
+    EXPECT_EQ(DigestHex(answers[p]), expected[p]) << names[p];
+  }
+  EXPECT_EQ(DigestHex(counters), "0xf0c3bbe3ab5fc9f7")
+      << "trigger checks/fires/re-partitions: " << a.counters().trigger_checks
+      << "/" << a.counters().trigger_fires << "/" << a.counters().repartitions
+      << " (2-D), " << b.counters().trigger_checks << "/"
+      << b.counters().trigger_fires << "/" << b.counters().repartitions
+      << " (1-D)";
 }
 
 TEST(JanusTest, PooledMultiRebuildIsBitIdenticalToSerial) {

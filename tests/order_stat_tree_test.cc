@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -78,13 +79,36 @@ TEST(OrderStatTreeTest, KeyRangeAggregateClosed) {
   EXPECT_DOUBLE_EQ(agg.sum, 14);
 }
 
+/// A key from a mix that lands on range bounds: small integers (so keys
+/// repeat), signed zeros, infinities and uniform reals.
+double MixedKey(Rng* rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  switch (rng->NextUint64(6)) {
+    case 0:
+      return static_cast<double>(rng->NextUint64(20));
+    case 1:
+      return rng->Bernoulli(0.5) ? 0.0 : -0.0;
+    case 2:
+      return rng->Bernoulli(0.5) ? kInf : -kInf;
+    default:
+      return rng->Uniform(-20, 20);
+  }
+}
+
 TEST(OrderStatTreeTest, RandomizedAgainstBruteForce) {
+  // Inserts and deletes over MixedKey()s; every tenth step a range whose
+  // bounds come from the same mix: some are one point (a run of duplicate
+  // keys, or nothing), some hold nothing, some are inverted.
   OrderStatTree tree;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(tree.KeyRangeAggregate(-kInf, kInf).count, 0);
   std::vector<std::pair<double, double>> ref;
   Rng rng(77);
-  for (int step = 0; step < 3000; ++step) {
+  int inverted = 0;
+  int empty = 0;
+  for (int step = 0; step < 6000; ++step) {
     if (ref.empty() || rng.NextDouble() < 0.6) {
-      const double key = rng.Uniform(0, 100);
+      const double key = MixedKey(&rng);
       const double val = rng.Uniform(-5, 5);
       tree.Insert(key, val);
       ref.emplace_back(key, val);
@@ -95,23 +119,64 @@ TEST(OrderStatTreeTest, RandomizedAgainstBruteForce) {
       ref.pop_back();
     }
     ASSERT_EQ(tree.size(), ref.size());
-    if (step % 100 == 0 && !ref.empty()) {
-      const double lo = rng.Uniform(0, 100);
-      const double hi = rng.Uniform(lo, 100);
-      TreeAgg expect;
-      for (const auto& [k, v] : ref) {
-        if (k >= lo && k <= hi) {
-          expect.count += 1;
-          expect.sum += v;
-          expect.sumsq += v * v;
-        }
-      }
-      const TreeAgg got = tree.KeyRangeAggregate(lo, hi);
-      ASSERT_DOUBLE_EQ(got.count, expect.count);
-      ASSERT_NEAR(got.sum, expect.sum, 1e-9);
-      ASSERT_NEAR(got.sumsq, expect.sumsq, 1e-9);
+    if (step % 10 != 0) continue;
+    double lo = MixedKey(&rng);
+    double hi = rng.NextDouble() < 0.2 ? lo : MixedKey(&rng);  // a point
+    if (lo > hi && rng.NextDouble() < 0.8) std::swap(lo, hi);
+    TreeAgg expect;
+    for (const auto& [k, v] : ref) {
+      if (k >= lo && k <= hi) expect.Add({1.0, v, v * v});
+    }
+    inverted += lo > hi;
+    empty += lo <= hi && expect.count == 0;
+    const TreeAgg got = tree.KeyRangeAggregate(lo, hi);
+    ASSERT_EQ(got.count, expect.count) << "[" << lo << ", " << hi << "]";
+    ASSERT_NEAR(got.sum, expect.sum, 1e-9);
+    ASSERT_NEAR(got.sumsq, expect.sumsq, 1e-9);
+  }
+  EXPECT_GT(inverted, 10);
+  EXPECT_GT(empty, 10);
+  tree.CheckInvariants();
+}
+
+TEST(OrderStatTreeTest, NarrowRangesKeepRelativePrecision) {
+  // Values 1e4 + N(0, 1) over 40k keys: a narrow range's sums are a tiny
+  // part of the whole tree's, so a difference of two prefix sums cancels
+  // most of their digits. Added from the range's own subtrees, sum and
+  // sumsq stay within 64 epsilon (relative) of a long-double sum.
+  OrderStatTree tree;
+  std::vector<std::pair<double, double>> pts;
+  Rng rng(91);
+  for (int i = 0; i < 40000; ++i) {
+    const double key = rng.NextDouble();
+    const double value = 1e4 + rng.Normal();
+    tree.Insert(key, value);
+    pts.emplace_back(key, value);
+  }
+  std::sort(pts.begin(), pts.end());
+  constexpr double kTol = 64 * std::numeric_limits<double>::epsilon();
+  int over = 0;
+  double worst = 0;
+  for (int r = 0; r < 2000; ++r) {
+    const size_t first = rng.NextUint64(pts.size());
+    const size_t last = std::min(pts.size() - 1, first + rng.NextUint64(64));
+    long double sum = 0;
+    long double sumsq = 0;
+    for (size_t i = first; i <= last; ++i) {
+      sum += pts[i].second;
+      sumsq += static_cast<long double>(pts[i].second) * pts[i].second;
+    }
+    const TreeAgg got =
+        tree.KeyRangeAggregate(pts[first].first, pts[last].first);
+    ASSERT_EQ(got.count, static_cast<double>(last - first + 1));
+    for (const double rel : {static_cast<double>(std::abs(got.sum - sum) / sum),
+                             static_cast<double>(std::abs(got.sumsq - sumsq) /
+                                                 sumsq)}) {
+      worst = std::max(worst, rel);
+      over += rel > kTol;
     }
   }
+  EXPECT_EQ(over, 0) << "worst relative error " << worst;
 }
 
 TEST(OrderStatTreeTest, DumpInOrder) {

@@ -10,6 +10,7 @@
 #include "core/partitioner_1d.h"
 #include "data/generators.h"
 #include "data/ground_truth.h"
+#include "data/scan.h"
 #include "data/workload.h"
 #include "util/rng.h"
 
@@ -31,7 +32,8 @@ class SptAlgorithmTest : public ::testing::TestWithParam<PartitionAlgorithm> {
 
 TEST_P(SptAlgorithmTest, BuildsAndAnswersAccurately) {
   auto ds = GenerateUniform(20000, 1, 5);
-  SptBuildResult built = BuildSpt(ds.rows, BaseOptions());
+  SptBuildResult built =
+      BuildSpt(scan::ToColumnStore(ds.rows, {}), BaseOptions());
   ASSERT_NE(built.synopsis, nullptr);
   EXPECT_GT(built.total_seconds, 0);
   EXPECT_EQ(built.synopsis->mode(), StatMode::kExact);
@@ -79,7 +81,7 @@ TEST(SptTest, PartitionTimeReportedSeparately) {
   o.spec.agg_column = 1;
   o.spec.predicate_columns = {0};
   o.num_leaves = 16;
-  SptBuildResult built = BuildSpt(ds.rows, o);
+  SptBuildResult built = BuildSpt(scan::ToColumnStore(ds.rows, {}), o);
   EXPECT_GE(built.total_seconds, built.partition_seconds);
 }
 
@@ -91,7 +93,7 @@ TEST(SptTest, MultiDimUsesKdPartitioner) {
   o.num_leaves = 64;
   o.sample_rate = 0.05;
   o.algorithm = PartitionAlgorithm::kBinarySearch;  // must reroute to kd
-  SptBuildResult built = BuildSpt(ds.rows, o);
+  SptBuildResult built = BuildSpt(scan::ToColumnStore(ds.rows, {}), o);
   ASSERT_NE(built.synopsis, nullptr);
   EXPECT_EQ(built.synopsis->tree().dims, 3);
   EXPECT_GT(built.synopsis->tree().num_leaves(), 8);
