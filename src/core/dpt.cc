@@ -321,10 +321,9 @@ void Dpt::AddCatchupToLeaf(const Tuple& t, LeafStats* ls) const {
   ls->minmax.Insert(t[opts_.spec.agg_column]);
 }
 
-void Dpt::AddCatchupSamples(const ColumnStore& snapshot,
-                            const std::vector<size_t>& positions) {
-  if (spec_.nodes.empty() || positions.empty()) return;
-  const size_t n = positions.size();
+void Dpt::AddCatchupSamples(const std::vector<Tuple>& batch) {
+  if (spec_.nodes.empty() || batch.empty()) return;
+  const size_t n = batch.size();
   // A catch-up sample costs far more than a kernel row (tree descent plus
   // per-column moment updates), so the parallel cutoff sits much lower than
   // the scan kernels'.
@@ -333,19 +332,17 @@ void Dpt::AddCatchupSamples(const ColumnStore& snapshot,
       scan::PlanMorselsAtCutoff(opts_.exec, n, kMinCatchupBatch,
                                 scan::MorselCost::kHeavyItems);
   if (plan.workers <= 1) {
-    for (size_t pos : positions) AddCatchupSample(snapshot.RowTuple(pos));
+    for (const Tuple& t : batch) AddCatchupSample(t);
     return;
   }
-  // Phase 1: materialize and route every draw in work-stealing morsels
-  // (routing is read-only, domain growth is lock-free; every output lands
-  // at its own index, so the result is bit-identical under any stealing).
-  std::vector<Tuple> batch(n);
+  // Phase 1: route every draw in work-stealing morsels (routing is
+  // read-only, domain growth is lock-free; every output lands at its own
+  // index, so the result is bit-identical under any stealing).
   std::vector<int> leaf_of(n);
   scan::ForEachMorsel(opts_.exec, n, plan,
                       [&](size_t, size_t, size_t begin, size_t end) {
                         double point[kMaxColumns];
                         for (size_t i = begin; i < end; ++i) {
-                          batch[i] = snapshot.RowTuple(positions[i]);
                           ProjectTuple(batch[i],
                                        opts_.spec.predicate_columns, point);
                           GrowDomain(point);

@@ -132,13 +132,12 @@ class Dpt {
   /// Absorb one uniform archive-snapshot sample into the node statistics.
   void AddCatchupSample(const Tuple& t);
 
-  /// Absorb a whole batch of snapshot samples, by position. Routing runs in
-  /// parallel morsels (opts.exec); application is partitioned by leaf with
-  /// each leaf's samples applied in draw order, so the resulting node
+  /// Absorb a whole batch of snapshot samples, in draw order. Routing runs
+  /// in parallel morsels (opts.exec); application is partitioned by leaf
+  /// with each leaf's samples applied in draw order, so the resulting node
   /// statistics are bit-identical to feeding the batch through
-  /// AddCatchupSample one position at a time.
-  void AddCatchupSamples(const ColumnStore& snapshot,
-                         const std::vector<size_t>& positions);
+  /// AddCatchupSample one sample at a time.
+  void AddCatchupSamples(const std::vector<Tuple>& batch);
 
   double catchup_count() const { return catchup_total_.load(); }
 

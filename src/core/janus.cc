@@ -8,6 +8,7 @@
 #include "core/partition.h"
 #include "persist/serde.h"
 #include "util/invariants.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace janus {
@@ -97,7 +98,9 @@ void JanusAqp::AdoptSpec(PartitionTreeSpec spec) {
   const size_t goal = static_cast<size_t>(
       opts_.catchup_rate * static_cast<double>(table_.size()));
   catchup_ = std::make_unique<CatchupEngine>(
-      dpt_.get(), table_.store().WithoutIndex(), goal, rng_.Next());
+      dpt_.get(),
+      std::make_shared<ArchiveSnapshot>(table_.store(), &update_mu_), goal,
+      rng_.Next());
   leaf_baseline_var_ = ComputeBaselines(*dpt_);
 }
 
@@ -143,11 +146,13 @@ bool JanusAqp::Delete(uint64_t id) {
     ReaderMutexLock tree(&tree_mu_);
     {
       MutexLock lock(&update_mu_);
-      const std::optional<Tuple> p = table_.Find(id);
-      if (!p.has_value()) return false;
-      t = *p;
-      if (reopt_.run.active()) reopt_.run.ParkRows(table_.store(), id);
-      table_.Delete(id);
+      // One id lookup; the archive views copy the pages it changes first.
+      const bool live = table_.Delete(id, [&](size_t pos) {
+        t = table_.store().RowTuple(pos);
+        if (catchup_) catchup_->snapshot().BeforeDelete(pos);
+        if (ArchiveSnapshot* a = reopt_.run.archive()) a->BeforeDelete(pos);
+      });
+      if (!live) return false;
       ++counters_.deletes;
       const ReservoirChange ch = reservoir_->OnDelete(id);
       std::vector<Tuple> fresh;
@@ -373,7 +378,9 @@ bool JanusAqp::PartialRepartition(int leaf) {
   const size_t goal = static_cast<size_t>(
       opts_.catchup_rate * static_cast<double>(table_.size()));
   catchup_ = std::make_unique<CatchupEngine>(
-      dpt_.get(), table_.store().WithoutIndex(), goal, rng_.Next());
+      dpt_.get(),
+      std::make_shared<ArchiveSnapshot>(table_.store(), &update_mu_), goal,
+      rng_.Next());
   leaf_baseline_var_ = ComputeBaselines(*dpt_);
   counters_.last_reopt_seconds = timer.ElapsedSeconds();
   ++counters_.partial_repartitions;
@@ -499,7 +506,7 @@ bool JanusAqp::BeginReopt(bool inline_run) {
   ClearReoptRequest();
   reopt_.inline_run = inline_run;
   reopt_.live_at_begin = dpt_.get();
-  reopt_.run.Begin(reservoir_->samples(), table_.store());
+  reopt_.run.Begin(reservoir_->samples(), table_.store(), &update_mu_);
   // An unconditional run draws its catch-up seed now, so the RNG stream is
   // positioned exactly as a rebuild at this point leaves it. A drift run
   // draws it at adoption: a rejected candidate draws nothing.
@@ -526,51 +533,34 @@ void JanusAqp::BuildBackgroundReopt() {
 
 void JanusAqp::BuildReopt() {
   Reopt& r = reopt_;
-  ReoptRun::ArchiveCopy archive(&r.run, &update_mu_, table_.store(),
-                                opts_.exec.pool);
-  // An unconditional run always builds, so its archive copy starts now,
-  // beside the optimizer; a drift run starts it once the candidate wins.
-  if (!r.drift) archive.Start();
-  const bool built = BuildSide(&archive);
-  // Joined on every path, so what the copy threw reaches this thread.
-  if (archive.Join(/*complete=*/built) && built) {
-    r.run.PreDrain(&update_mu_, opts_.reopt_delta_tail);
-  }
-}
-
-bool JanusAqp::BuildSide(ReoptRun::ArchiveCopy* archive) {
-  Reopt& r = reopt_;
   Timer optimize;
   PartitionResult pr = OptimizePartition(
       r.run.snapshot(), MakeSptOptions(opts_, opts_.spec), r.run.n0());
   r.partition_seconds = optimize.ElapsedSeconds();
-  if (!pr.ok) return false;  // the run never becomes ready; Finish discards it
+  if (!pr.ok) return;  // the run is never built; Finish discards it
   r.cand_var = pr.achieved_error * pr.achieved_error;
   if (r.drift) {
     // Drift requests stay conditional (Sec. 5.4). Testing before the side
     // build means a losing candidate never pays for one.
     ReaderMutexLock tree(&tree_mu_);
     MutexLock lock(&update_mu_);
-    if (dpt_.get() != r.live_at_begin || !BeatsLiveTree(r.cand_var)) {
-      return false;
-    }
+    if (dpt_.get() != r.live_at_begin || !BeatsLiveTree(r.cand_var)) return;
     r.tested_at = r.run.captured();
   }
-  archive->Start();
   // Baselines here keep the per-leaf MaxVariance sweep out of the exclusive
   // adoption step.
   const Dpt* side = r.run.AddSide(MakeDptOptions(), std::move(pr.spec));
   r.baselines = ComputeBaselines(*side);
-  return true;
+  r.run.PreDrain(&update_mu_, opts_.reopt_delta_tail);
 }
 
 bool JanusAqp::FinishBackgroundReopt() {
   if (!reopt_.run.active()) return false;
   // Retired state is moved aside under the locks (O(1) pointer moves) and
   // freed only after they release: destroying the old tree's sample index
-  // and the old catch-up's archive snapshot costs several milliseconds at
-  // 1M rows, and none of it belongs in the exclusive blocking window, nor,
-  // with a scan pool, on the thread that drives the run.
+  // costs several milliseconds at 1M rows, and none of it belongs in the
+  // exclusive blocking window, nor, with a scan pool, on the thread that
+  // drives the run.
   // Declared before the lock guards so destructor order runs locks-first.
   RetiredTree retired_tree(opts_.exec.pool);
   Reopt retired;
@@ -585,7 +575,7 @@ bool JanusAqp::FinishBackgroundReopt() {
     counters_.last_build_seconds = r.build_seconds;
   }
   const bool current = dpt_.get() == r.live_at_begin;
-  bool adopt = r.run.ready() && current;
+  bool adopt = r.run.built() && current;
   if (adopt && r.drift && r.run.captured() != r.tested_at) {
     // The live tree absorbed updates since the Build-time test.
     adopt = BeatsLiveTree(r.cand_var);
@@ -622,11 +612,12 @@ bool JanusAqp::FinishBackgroundReopt() {
   return true;
 }
 
-void ReoptRun::Begin(const std::vector<Tuple>& pool, const ColumnStore& live) {
+void ReoptRun::Begin(const std::vector<Tuple>& pool, const ColumnStore& live,
+                     Mutex* mu) {
   active_ = true;
   snapshot_ = pool;
   n0_ = live.size();
-  archive_ = std::make_unique<ColumnStore>(live.schema());
+  archive_ = std::make_shared<ArchiveSnapshot>(live, mu);
 }
 
 void ReoptRun::CaptureInsert(const Tuple& t, const ReservoirChange& ch) {
@@ -638,13 +629,6 @@ void ReoptRun::CaptureInsert(const Tuple& t, const ReservoirChange& ch) {
   }
   delta_.push_back({DeltaOp::Kind::kInsert, t, {}});
   ++captured_;
-}
-
-void ReoptRun::ParkRows(const ColumnStore& live, uint64_t id) {
-  if (copy_pos_ >= n0_) return;  // the archive copy is complete
-  for (const size_t p : {live.PositionOf(id), live.size() - 1}) {
-    if (p >= copy_pos_ && p < n0_) parked_.try_emplace(p, live.RowTuple(p));
-  }
 }
 
 void ReoptRun::CaptureDelete(const Tuple& t, const ReservoirChange& ch,
@@ -664,80 +648,6 @@ Dpt* ReoptRun::AddSide(const DptOptions& opts, PartitionTreeSpec spec) {
   return sides_.back().get();
 }
 
-ReoptRun::ArchiveCopy::ArchiveCopy(ReoptRun* run, Mutex* mu,
-                                   const ColumnStore& live, ThreadPool* pool)
-    : run_(run),
-      mu_(mu),
-      live_(live),
-      pool_(pool),
-      gang_([this](size_t) { Copy(); }, 1) {}
-
-ReoptRun::ArchiveCopy::~ArchiveCopy() {
-  // Every normal exit joins, so this runs only while an exception leaves
-  // the stage; it must still wait for a pool thread inside the copy, and
-  // the exception in flight is the one the caller gets.
-  if (!started_ || joined_ || pool_ == nullptr) return;
-  try {
-    pool_->CloseGang(&gang_);
-  } catch (...) {
-  }
-}
-
-void ReoptRun::ArchiveCopy::Copy() {
-  copied_ = true;
-  ok_ = run_->AssembleArchive(mu_, live_);
-}
-
-void ReoptRun::ArchiveCopy::Start() {
-  if (started_) return;
-  started_ = true;
-  if (pool_ != nullptr) pool_->SubmitGang(&gang_);
-}
-
-bool ReoptRun::ArchiveCopy::Join(bool complete) {
-  if (!joined_) {
-    joined_ = true;
-    // CloseGang waits for a pool thread inside the copy and rethrows what
-    // it threw; once it returns, no pool thread can still enter.
-    if (started_ && pool_ != nullptr) pool_->CloseGang(&gang_);
-    if (started_ && complete && !copied_) Copy();
-  }
-  return ok_;
-}
-
-bool ReoptRun::AssembleArchive(Mutex* mu, const ColumnStore& live,
-                               size_t rows) {
-  // Chunked holds keep each acquisition of the update mutex bounded, so
-  // concurrent updaters never wait long on the copy.
-  constexpr size_t kChunk = 16384;
-  archive_->Reserve(n0_);
-  const size_t stop_at = copy_pos_ + std::min(rows, n0_ - copy_pos_);
-  while (copy_pos_ < stop_at) {
-    MutexLock lock(mu);
-    const size_t end = std::min(copy_pos_ + kChunk, stop_at);
-    // A position no delete has touched still holds its Begin-time row.
-    auto parked = parked_.begin();
-    while (copy_pos_ < end) {
-      const size_t stop =
-          parked == parked_.end() ? end : std::min(parked->first, end);
-      // An empty range may start past a live table that has shrunk since
-      // Begin; only a non-empty one is read.
-      if (stop > copy_pos_) {
-        if (stop > live.size()) return false;
-        archive_->AppendRange(live, copy_pos_, stop);
-        copy_pos_ = stop;
-      }
-      if (stop < end) {
-        archive_->BulkAppend({parked->second});
-        ++copy_pos_;
-        parked = parked_.erase(parked);
-      }
-    }
-  }
-  ready_ = copy_pos_ == n0_;
-  return true;
-}
-
 void ReoptRun::PreDrain(Mutex* mu, size_t tail) {
   for (int round = 0; round < 8; ++round) {
     std::vector<DeltaOp> batch;
@@ -748,6 +658,7 @@ void ReoptRun::PreDrain(Mutex* mu, size_t tail) {
     }
     Replay(batch);
   }
+  built_ = true;
 }
 
 void ReoptRun::Finish() {
@@ -814,6 +725,7 @@ void JanusAqp::LoadFrom(persist::Reader* r) {
   // and tree; the replaced tree makes that run stale.
   WriterMutexLock tree(&tree_mu_);
   MutexLock lock(&update_mu_);
+  reopt_.run.DropArchive();
   table_.LoadFrom(r);
   rng_.LoadFrom(r);
 
@@ -852,9 +764,10 @@ void JanusAqp::LoadFrom(persist::Reader* r) {
       throw persist::PersistError(
           "snapshot corrupt: catch-up state without a synopsis");
     }
-    catchup_ = std::make_unique<CatchupEngine>(dpt_.get(),
-                                               ColumnStore(opts_.schema),
-                                               /*goal_samples=*/0, /*seed=*/0);
+    catchup_ = std::make_unique<CatchupEngine>(
+        dpt_.get(),
+        std::make_shared<ArchiveSnapshot>(ColumnStore(opts_.schema)),
+        /*goal_samples=*/0, /*seed=*/0);
     catchup_->LoadFrom(r);
   } else {
     catchup_.reset();

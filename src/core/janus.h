@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -14,7 +13,6 @@
 #include "data/table.h"
 #include "sampling/reservoir.h"
 #include "util/mutex.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace janus {
@@ -72,91 +70,59 @@ SptOptions MakeSptOptions(const JanusOptions& o, const SynopsisSpec& spec);
 
 /// The re-optimization pipeline of Sec. 4.3, shared by JanusAqp (one side
 /// tree) and MultiTemplateJanus (one per template). One run:
-///   1. Begin snapshots the pooled sample and |D| and starts capturing: every
+///   1. Begin snapshots the pooled sample and |D|, takes a copy-on-write
+///      view of the archive (ArchiveSnapshot) and starts capturing: every
 ///      live update from then on is recorded, in live order, next to the
-///      reservoir change it caused.
+///      reservoir change it caused, and every delete has the view copy the
+///      archive pages it changes first.
 ///   2. The owner optimizes a partitioning per template on the snapshot and
-///      AddSide()s a tree populated from it; AssembleArchive copies the
-///      Begin-time archive, on a pool thread beside the rest of the stage
-///      (ArchiveCopy); PreDrain replays captured updates into the side
-///      trees until a short tail remains.
+///      AddSide()s a tree populated from it; PreDrain replays captured
+///      updates into the side trees until a short tail remains.
 ///   3. Finish replays the tail; the owner then swaps the side trees in and
-///      restarts catch-up on the archive copy.
+///      restarts catch-up on the view.
 /// Replay keeps live op order, so an adopted side tree is bit-identical to
 /// the tree a rebuild at Begin would have produced, followed by the same
 /// updates.
 ///
 /// Locking: `mu` is the owner's update mutex. Begin, the capture hooks and
-/// Finish run with it held; AssembleArchive and PreDrain take it for bounded
-/// chunks only, so stage 2 overlaps live updates. Everything else belongs to
-/// the one thread driving the run.
+/// Finish run with it held; PreDrain takes it for bounded chunks only, so
+/// stage 2 overlaps live updates. Everything else belongs to the one thread
+/// driving the run.
 class ReoptRun {
  public:
   /// Stage 1 (mu held, on a fresh run).
-  void Begin(const std::vector<Tuple>& pool, const ColumnStore& live);
+  void Begin(const std::vector<Tuple>& pool, const ColumnStore& live,
+             Mutex* mu);
   /// True from Begin until the run is finished or reset.
   bool active() const { return active_; }
 
-  /// Capture hooks (mu held, active()). ParkRows runs before `live`
-  /// swap-removes row `id`; CaptureDelete after the reservoir saw the
-  /// delete (`fresh` is the re-drawn sample when ch.needs_resample).
+  /// Capture hooks (mu held, active()). CaptureDelete runs after the
+  /// reservoir saw the delete (`fresh` is the re-drawn sample when
+  /// ch.needs_resample).
   void CaptureInsert(const Tuple& t, const ReservoirChange& ch);
-  void ParkRows(const ColumnStore& live, uint64_t id);
   void CaptureDelete(const Tuple& t, const ReservoirChange& ch,
                      const std::vector<Tuple>& fresh);
   /// Updates captured since Begin.
   uint64_t captured() const { return captured_; }
+  /// The Begin-time archive view (mu held), whose BeforeDelete() the owner
+  /// calls; null when no run is active. DropArchive() is for an owner that
+  /// replaced the table: the run can no longer be adopted.
+  ArchiveSnapshot* archive() { return archive_.get(); }
+  void DropArchive() { archive_.reset(); }
 
   /// Stage 2. A side tree over the Begin-time sample.
   Dpt* AddSide(const DptOptions& opts, PartitionTreeSpec spec);
-  /// Copy up to `rows` more rows of the Begin-time archive, one bounded
-  /// chunk per hold of `mu`. False when `live` lost a row the copy needs
-  /// (the table was replaced mid-run).
-  bool AssembleArchive(Mutex* mu, const ColumnStore& live,
-                       size_t rows = SIZE_MAX);
-  /// AssembleArchive() of the whole archive, overlapping the rest of the
-  /// Build stage. Start() offers the copy to one thread of `pool`. Join()
-  /// waits for a pool thread inside it and rethrows what it threw; a started
-  /// copy no pool thread has entered, or any started copy with no pool, then
-  /// runs inline unless `complete` is false (the stage stops early). Join()
-  /// returns AssembleArchive's result, false for a copy that never ran. A
-  /// stage joins on every normal exit; the destructor covers an exception
-  /// leaving it, so the copy never outlives the run, table or mutex it reads.
-  class ArchiveCopy {
-   public:
-    ArchiveCopy(ReoptRun* run, Mutex* mu, const ColumnStore& live,
-                ThreadPool* pool);
-    ~ArchiveCopy();
-    ArchiveCopy(const ArchiveCopy&) = delete;
-    ArchiveCopy& operator=(const ArchiveCopy&) = delete;
-
-    void Start();
-    bool Join(bool complete = true);
-
-   private:
-    void Copy();
-
-    ReoptRun* run_;
-    Mutex* mu_;
-    const ColumnStore& live_;
-    ThreadPool* pool_;
-    GangTask gang_;
-    bool started_ = false;
-    bool joined_ = false;
-    bool copied_ = false;  ///< Copy() ran, on a pool thread or inline
-    bool ok_ = false;
-  };
   /// Replay captured updates into every side tree until at most `tail`
-  /// remain. Bounded rounds: a hot update stream can outrun the drain.
+  /// remain. Bounded rounds: a hot update stream can outrun the drain. The
+  /// last step of a Build stage that built.
   void PreDrain(Mutex* mu, size_t tail);
-  /// True once the archive copy is complete: the run can be adopted.
-  bool ready() const { return ready_; }
+  /// PreDrain ran and the view is intact: the run can be adopted.
+  bool built() const { return built_ && archive_ != nullptr; }
 
   /// Stage 3 (mu held, full exclusion): stop capturing and replay the tail.
   void Finish();
   std::unique_ptr<Dpt> TakeSide(size_t i) { return std::move(sides_[i]); }
-  const ColumnStore& archive() const { return *archive_; }
-  ColumnStore TakeArchive() { return std::move(*archive_); }
+  std::shared_ptr<ArchiveSnapshot> TakeArchive() { return std::move(archive_); }
 
   const std::vector<Tuple>& snapshot() const { return snapshot_; }
   size_t n0() const { return n0_; }
@@ -181,15 +147,10 @@ class ReoptRun {
   void Replay(const std::vector<DeltaOp>& ops);
 
   bool active_ = false;
-  bool ready_ = false;
+  bool built_ = false;
   std::vector<Tuple> snapshot_;  ///< pooled reservoir at Begin
   size_t n0_ = 0;                ///< |D| at Begin
-  /// Begin-time archive rows [0, copy_pos_) copied so far. A delete moves
-  /// at most two live positions (the victim's, and the last row's into it);
-  /// those in [copy_pos_, n0_) park their Begin-time payload here first.
-  size_t copy_pos_ = 0;
-  std::map<size_t, Tuple> parked_;
-  std::unique_ptr<ColumnStore> archive_;  ///< index-free archive copy
+  std::shared_ptr<ArchiveSnapshot> archive_;  ///< the archive at Begin
   std::vector<DeltaOp> delta_;
   uint64_t captured_ = 0;
   std::vector<std::unique_ptr<Dpt>> sides_;
@@ -217,31 +178,30 @@ struct JanusCounters {
   double last_blocking_seconds = 0;
   /// The last build (Initialize, Reinitialize or a pipeline Build stage):
   /// the optimizer's share, and the whole build (optimizer, side tree,
-  /// archive copy, pre-drain). Not persisted; a loaded instance reads 0.
+  /// pre-drain). Not persisted; a loaded instance reads 0.
   double last_partition_seconds = 0;
   double last_build_seconds = 0;
 };
 
 /// The JanusAQP system (Sec. 3): owns the evolving table (archival storage),
-/// the pooled reservoir, one DPT synopsis, the catch-up engine and the
+/// the pooled reservoir, one DPT synopsis, the catch-up engine (which reads
+/// the archive through a view Delete() keeps: ArchiveSnapshot) and the
 /// re-partitioning triggers.
 ///
 /// Every full re-optimization — a trigger fire or an explicit
 /// BeginBackgroundReopt() — runs the ReoptRun pipeline in three stages:
 ///   1. BeginBackgroundReopt(): update-side exclusion. Consumes the pending
-///      trigger request, snapshots the pooled sample and |D| and starts
-///      capturing updates. An unconditional run draws its catch-up seed here.
+///      trigger request, snapshots the pooled sample and |D|, takes a view
+///      of the archive and starts capturing updates. An unconditional run
+///      draws its catch-up seed here.
 ///   2. BuildBackgroundReopt(): no exclusion. Optimizes the partitioning on
 ///      the snapshot. A drift request then runs the beta test of Sec. 5.4
 ///      against the live tree and stops if the candidate does not win.
-///      Then builds the side tree, copies the Begin-time archive and
-///      pre-drains the capture down to reopt_delta_tail ops. The archive
-///      copy runs on the scan pool from the moment the run knows it builds:
-///      at once for an unconditional run, after the beta test for a drift
-///      run.
+///      Then builds the side tree and pre-drains the capture down to
+///      reopt_delta_tail ops.
 ///   3. FinishBackgroundReopt(): full exclusion. Re-runs the beta test if
 ///      updates arrived since, replays the tail, swaps the synopsis pointer
-///      and restarts catch-up on the archive copy. A drift run draws its
+///      and restarts catch-up on the Begin-time view. A drift run draws its
 ///      catch-up seed here, so a rejected candidate draws nothing. The
 ///      retired tree and catch-up engine are freed on the scan pool.
 /// Two drivers run the stages. By default the updater whose trigger fired
@@ -349,6 +309,8 @@ class JanusAqp {
   double catchup_processing_seconds() const {
     return catchup_ ? catchup_->processing_seconds() : 0;
   }
+  /// Null before Initialize().
+  const CatchupEngine* catchup() const { return catchup_.get(); }
 
  private:
   /// One pipeline run: the shared ReoptRun plus what JanusAqp's adoption
@@ -392,10 +354,6 @@ class JanusAqp {
   bool BeginReopt(bool inline_run);
   /// Stage 2 body; BuildBackgroundReopt() times it.
   void BuildReopt();
-  /// Stage 2 up to the archive copy: the optimizer, a drift run's beta test
-  /// (which starts `archive` when the candidate wins) and the side tree.
-  /// False when the run stops there.
-  bool BuildSide(ReoptRun::ArchiveCopy* archive);
   /// All three stages back to back on the calling updater, for a pending
   /// request. Returns true if the side tree was adopted.
   bool RunReoptInline();

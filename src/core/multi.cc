@@ -29,7 +29,10 @@ int MultiTemplateJanus::AddTemplate(const SynopsisSpec& spec) {
   Entry entry;
   entry.spec = spec;
   // Built before it is listed: a template whose build throws leaves none.
-  if (initialized_) BuildEntry(&entry);
+  if (initialized_) {
+    BuildEntry(&entry,
+               std::make_shared<ArchiveSnapshot>(table_.store(), &update_mu_));
+  }
   entries_.push_back(std::move(entry));
   return static_cast<int>(entries_.size()) - 1;
 }
@@ -45,7 +48,8 @@ DptOptions MultiTemplateJanus::MakeDptOptions(const SynopsisSpec& spec) const {
   return dopts;
 }
 
-void MultiTemplateJanus::BuildEntry(Entry* entry) {
+void MultiTemplateJanus::BuildEntry(Entry* entry,
+                                    std::shared_ptr<ArchiveSnapshot> archive) {
   PartitionResult pr = OptimizePartition(reservoir_->samples(),
                                          MakeSptOptions(base_, entry->spec),
                                          table_.size());
@@ -55,7 +59,7 @@ void MultiTemplateJanus::BuildEntry(Entry* entry) {
   const size_t goal = static_cast<size_t>(
       base_.catchup_rate * static_cast<double>(table_.size()));
   entry->catchup = std::make_unique<CatchupEngine>(
-      entry->dpt.get(), table_.store().WithoutIndex(), goal, rng_.Next());
+      entry->dpt.get(), std::move(archive), goal, rng_.Next());
 }
 
 void MultiTemplateJanus::LoadInitial(const std::vector<Tuple>& rows) {
@@ -69,7 +73,9 @@ void MultiTemplateJanus::Initialize() {
   reservoir_ = std::make_unique<DynamicReservoir>(target, rng_.Next());
   reservoir_->Reset(table_.SampleUniform(&rng_, target, base_.exec));
   initialized_ = true;
-  for (Entry& entry : entries_) BuildEntry(&entry);
+  const auto archive =
+      std::make_shared<ArchiveSnapshot>(table_.store(), &update_mu_);
+  for (Entry& entry : entries_) BuildEntry(&entry, archive);
 }
 
 void MultiTemplateJanus::Insert(const Tuple& t) {
@@ -88,11 +94,17 @@ void MultiTemplateJanus::Insert(const Tuple& t) {
 
 bool MultiTemplateJanus::Delete(uint64_t id) {
   MutexLock lock(&update_mu_);
-  const std::optional<Tuple> p = table_.Find(id);
-  if (!p.has_value()) return false;
-  const Tuple t = *p;
-  if (run_.active()) run_.ParkRows(table_.store(), id);
-  table_.Delete(id);
+  // One id lookup; the archive views (shared by templates built together)
+  // copy the pages it changes first.
+  Tuple t;
+  const bool live = table_.Delete(id, [&](size_t pos) {
+    t = table_.store().RowTuple(pos);
+    for (Entry& entry : entries_) {
+      if (entry.catchup) entry.catchup->snapshot().BeforeDelete(pos);
+    }
+    if (ArchiveSnapshot* a = run_.archive()) a->BeforeDelete(pos);
+  });
+  if (!live) return false;
   const ReservoirChange ch = reservoir_->OnDelete(id);
   std::vector<Tuple> fresh;
   if (ch.needs_resample) {
@@ -141,7 +153,7 @@ bool MultiTemplateJanus::BeginBackgroundRebuild() {
   MutexLock lock(&update_mu_);
   if (run_.active() || !initialized_ || !reservoir_) return false;
   run_ = ReoptRun{};
-  run_.Begin(reservoir_->samples(), table_.store());
+  run_.Begin(reservoir_->samples(), table_.store(), &update_mu_);
   run_specs_.clear();
   run_seeds_.clear();
   run_specs_.reserve(entries_.size());
@@ -157,22 +169,17 @@ bool MultiTemplateJanus::BeginBackgroundRebuild() {
 
 void MultiTemplateJanus::BuildBackgroundRebuild() {
   if (!run_.active()) return;
-  // The archive copy runs on the scan pool while the trees are built.
-  ReoptRun::ArchiveCopy archive(&run_, &update_mu_, table_.store(),
-                                base_.exec.pool);
-  archive.Start();
   for (const SynopsisSpec& spec : run_specs_) {
     PartitionResult pr = OptimizePartition(
         run_.snapshot(), MakeSptOptions(base_, spec), run_.n0());
     run_.AddSide(MakeDptOptions(spec), std::move(pr.spec));
   }
-  if (!archive.Join()) return;
   run_.PreDrain(&update_mu_, base_.reopt_delta_tail);
 }
 
 bool MultiTemplateJanus::FinishBackgroundRebuild(uint64_t* replayed) {
   MutexLock lock(&update_mu_);
-  if (!run_.ready()) {
+  if (!run_.built()) {
     run_ = ReoptRun{};
     return false;
   }
@@ -181,12 +188,14 @@ bool MultiTemplateJanus::FinishBackgroundRebuild(uint64_t* replayed) {
       base_.catchup_rate * static_cast<double>(run_.n0()));
   // Swap only the templates that existed at Begin; later discoveries built
   // live trees from the current reservoir and need no replacement. Entry
-  // indices are stable — discovery only appends.
+  // indices are stable — discovery only appends. The swapped templates
+  // share the Begin-time view.
+  const std::shared_ptr<ArchiveSnapshot> archive = run_.TakeArchive();
   for (size_t i = 0; i < run_specs_.size(); ++i) {
     Entry& e = entries_[i];
     e.dpt = run_.TakeSide(i);
-    e.catchup = std::make_unique<CatchupEngine>(
-        e.dpt.get(), run_.archive().WithoutIndex(), goal, run_seeds_[i]);
+    e.catchup = std::make_unique<CatchupEngine>(e.dpt.get(), archive, goal,
+                                                run_seeds_[i]);
   }
   if (replayed != nullptr) *replayed = run_.replayed();
   run_ = ReoptRun{};
@@ -211,8 +220,10 @@ void MultiTemplateJanus::SaveTo(persist::Writer* w) const {
 }
 
 void MultiTemplateJanus::LoadFrom(persist::Reader* r) {
-  // Locked against a pipeline build in flight, which reads the live table.
+  // Locked against a pipeline run in flight: it snapshotted the replaced
+  // table, so it drops its view and cannot be adopted.
   MutexLock lock(&update_mu_);
+  run_.DropArchive();
   table_.LoadFrom(r);
   rng_.LoadFrom(r);
   initialized_ = r->Bool();
@@ -240,8 +251,9 @@ void MultiTemplateJanus::LoadFrom(persist::Reader* r) {
             "snapshot corrupt: template catch-up without a tree");
       }
       e.catchup = std::make_unique<CatchupEngine>(
-          e.dpt.get(), ColumnStore(base_.schema), /*goal_samples=*/0,
-          /*seed=*/0);
+          e.dpt.get(),
+          std::make_shared<ArchiveSnapshot>(ColumnStore(base_.schema)),
+          /*goal_samples=*/0, /*seed=*/0);
       e.catchup->LoadFrom(r);
     }
     entries_.push_back(std::move(e));

@@ -63,14 +63,15 @@ class MultiTemplateJanus {
 
   // --- Re-optimization pipeline (ReoptRun in core/janus.h) -----------------
   //
-  // Begin() snapshots the pooled sample and |D|, the registered specs and
-  // one pre-drawn catch-up seed per template (entry order — the same draws
-  // a rebuild at Begin would make). Build() optimizes and populates one side
-  // tree per snapshotted template and copies the archive, while updates are
+  // Begin() snapshots the pooled sample and |D|, a view of the archive, the
+  // registered specs and one pre-drawn catch-up seed per template (entry
+  // order — the same draws a rebuild at Begin would make). Build() optimizes
+  // and populates one side tree per snapshotted template, while updates are
   // captured under update_mu_. Finish() replays the capture tail into every
-  // side tree and swaps them in. Templates discovered *during* the build are
-  // not swapped: their live trees were built from the current reservoir and
-  // absorbed every later update already.
+  // side tree and swaps them in; their catch-ups share the view. Templates
+  // discovered *during* the build are not swapped: their live trees were
+  // built from the current reservoir and absorbed every later update
+  // already.
   //
   // Begin and Finish require full exclusion (the engine's exclusive room);
   // Build runs concurrently with queries and updates.
@@ -108,7 +109,7 @@ class MultiTemplateJanus {
   };
 
   DptOptions MakeDptOptions(const SynopsisSpec& spec) const;
-  void BuildEntry(Entry* entry);
+  void BuildEntry(Entry* entry, std::shared_ptr<ArchiveSnapshot> archive);
 
   JanusOptions base_;
   DynamicTable table_;
@@ -118,7 +119,7 @@ class MultiTemplateJanus {
   bool initialized_ = false;
 
   /// Serializes Insert/Delete (already serialized by the caller) with the
-  /// pipeline build's chunked archive copy and capture drain.
+  /// pipeline build's capture drain and the catch-up gathers.
   Mutex update_mu_;
   /// The pipeline run, the specs of the templates registered at its Begin
   /// and their pre-drawn catch-up seeds.

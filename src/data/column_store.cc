@@ -1,7 +1,6 @@
 #include "data/column_store.h"
 
 #include <cassert>
-#include <limits>
 
 #include "data/parallel_scan.h"
 #include "persist/common.h"
@@ -83,34 +82,11 @@ void ColumnStore::EnsureIndex() const {
   indexed_ = true;
 }
 
-bool ColumnStore::Delete(uint64_t id) {
-  EnsureIndex();
-  auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  const size_t pos = it->second;
-  const size_t last = ids_.size() - 1;
-  if (pos != last) {
-    ids_[pos] = ids_[last];
-    for (auto& col : columns_) col[pos] = col[last];
-    index_[ids_[pos]] = pos;
-  }
-  ids_.pop_back();
-  for (auto& col : columns_) col.pop_back();
-  index_.erase(it);
-  return true;
-}
-
 std::optional<Tuple> ColumnStore::Find(uint64_t id) const {
   EnsureIndex();
   auto it = index_.find(id);
   if (it == index_.end()) return std::nullopt;
   return RowTuple(it->second);
-}
-
-size_t ColumnStore::PositionOf(uint64_t id) const {
-  EnsureIndex();
-  auto it = index_.find(id);
-  return it == index_.end() ? std::numeric_limits<size_t>::max() : it->second;
 }
 
 Tuple ColumnStore::RowTuple(size_t pos) const {
@@ -166,10 +142,28 @@ size_t ColumnStore::MemoryBytes() const {
 }
 
 void ColumnStore::SaveTo(persist::Writer* w) const {
+  SaveRuns({{this, 0, size()}}, w);
+}
+
+void ColumnStore::SaveRuns(const std::vector<Run>& runs,
+                           persist::Writer* w) const {
+  size_t rows = 0;
+  for (const Run& r : runs) rows += r.end - r.begin;
   persist::SaveSchema(schema_, w);
   w->U32(static_cast<uint32_t>(columns_.size()));
-  w->U64Vec(ids_);
-  for (const std::vector<double>& col : columns_) w->F64Vec(col);
+  // The bytes of U64Vec/F64Vec over the concatenated runs: a length, then
+  // each value's native 8 bytes.
+  w->Size(rows);
+  for (const Run& r : runs) {
+    w->Bytes(r.store->ids_.data() + r.begin, (r.end - r.begin) * 8);
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    w->Size(rows);
+    for (const Run& r : runs) {
+      assert(r.store->columns_.size() == columns_.size());
+      w->Bytes(r.store->columns_[c].data() + r.begin, (r.end - r.begin) * 8);
+    }
+  }
 }
 
 void ColumnStore::LoadFrom(persist::Reader* r) {

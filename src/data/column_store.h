@@ -62,7 +62,7 @@ class ColumnStore {
   /// Append rows without maintaining the id index — the fast path for
   /// scan-only scratch stores and snapshots (the index is the dominant cost
   /// of a bulk load). The index is rebuilt lazily by the first id lookup
-  /// (Find/Contains/PositionOf/Delete/Insert).
+  /// (Find/Contains/Delete/Insert).
   void BulkAppend(const std::vector<Tuple>& rows);
 
   /// Append rows [begin, end) of `src` (same schema) in position order,
@@ -73,8 +73,28 @@ class ColumnStore {
   /// only scan or sample never pay for the id index).
   ColumnStore WithoutIndex() const;
 
-  /// Delete a live row by id (swap-remove). Returns false if not live.
-  bool Delete(uint64_t id);
+  /// Delete a live row by id (swap-remove, one id lookup). Returns false if
+  /// not live. `before(pos)` runs first, with the row's position, while the
+  /// store is unchanged (copy-on-write snapshots save the rows it moves).
+  bool Delete(uint64_t id) { return Delete(id, [](size_t) {}); }
+  template <typename Fn>
+  bool Delete(uint64_t id, Fn&& before) {
+    EnsureIndex();
+    const auto it = index_.find(id);
+    if (it == index_.end()) return false;
+    const size_t pos = it->second;
+    before(pos);
+    const size_t last = ids_.size() - 1;
+    if (pos != last) {
+      ids_[pos] = ids_[last];
+      for (auto& col : columns_) col[pos] = col[last];
+      index_[ids_[pos]] = pos;
+    }
+    ids_.pop_back();
+    for (auto& col : columns_) col.pop_back();
+    index_.erase(it);
+    return true;
+  }
 
   bool Contains(uint64_t id) const {
     EnsureIndex();
@@ -83,9 +103,6 @@ class ColumnStore {
 
   /// Materialize a live row by id; nullopt if absent.
   std::optional<Tuple> Find(uint64_t id) const;
-
-  /// Position of a live row by id; SIZE_MAX if absent.
-  size_t PositionOf(uint64_t id) const;
 
   uint64_t id_at(size_t pos) const { return ids_[pos]; }
   double value(size_t pos, int col) const {
@@ -130,6 +147,15 @@ class ColumnStore {
   /// index is not serialized; it is rebuilt lazily by the first id lookup.
   void SaveTo(persist::Writer* w) const;
   void LoadFrom(persist::Reader* r);
+
+  /// Rows [begin, end) of `store`.
+  struct Run {
+    const ColumnStore* store;
+    size_t begin, end;
+  };
+  /// SaveTo's bytes for a store of this schema holding the rows of `runs`,
+  /// in order, without assembling it (stores of the same schema).
+  void SaveRuns(const std::vector<Run>& runs, persist::Writer* w) const;
 
   /// Structural audit: every column is exactly ids().size() long, ids are
   /// unique, and — when the id index has been built — it is a bijection onto

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "data/column_store.h"
@@ -29,8 +30,13 @@ class DynamicTable {
   /// Insert a tuple. Ids must be unique among live tuples.
   void Insert(const Tuple& t) { store_.Insert(t); }
 
-  /// Delete a live tuple by id. Returns false if the id is not live.
+  /// Delete a live tuple by id. Returns false if the id is not live. See
+  /// ColumnStore::Delete for `before`.
   bool Delete(uint64_t id) { return store_.Delete(id); }
+  template <typename Fn>
+  bool Delete(uint64_t id, Fn&& before) {
+    return store_.Delete(id, std::forward<Fn>(before));
+  }
 
   /// Materialize a live tuple by id; nullopt if absent.
   std::optional<Tuple> Find(uint64_t id) const { return store_.Find(id); }

@@ -488,8 +488,8 @@ TEST(JanusTest, SlidingWindowAnswersMatchRecordedDigests) {
 }
 
 TEST(JanusTest, PooledMultiRebuildIsBitIdenticalToSerial) {
-  // multi's rebuild runs through the same pipeline: archive copy on the
-  // pool, each template's side tree built in parallel parts.
+  // multi's rebuild runs through the same pipeline: each template's side
+  // tree built in parallel parts on the pool.
   const GeneratedDataset ds = GenerateUniform(20000, 2, 31);
   auto run = [&](ThreadPool* threads) {
     JanusOptions o = BaseOptions();
@@ -534,6 +534,273 @@ TEST(JanusTest, PooledMultiRebuildIsBitIdenticalToSerial) {
     ThreadPool threads(width);
     EXPECT_EQ(run(&threads), serial) << width << " pool threads";
   }
+}
+
+TEST(JanusTest, CatchupSnapshotCopiesOnlyThePagesDeletesChange) {
+  // No rebuild copies the archive: catch-up reads it through a view that
+  // copies a page of it only before a delete changes that page.
+  auto ds = GenerateUniform(20000, 1, 37);
+  JanusOptions o = BaseOptions();
+  o.enable_triggers = true;
+  o.trigger_check_interval = 16;
+  o.starvation_factor = 1e9;  // every evaluation fires
+  JanusAqp s(o);
+  s.SetReoptNotify([] {});  // fires wait for the test to run them
+  s.LoadInitial(ds.rows);
+  s.Initialize();
+  EXPECT_FALSE(s.catchup()->snapshot().owned());
+  uint64_t next = 0;
+  for (; next < 16; ++next) ASSERT_TRUE(s.Delete(next));
+  ASSERT_TRUE(s.ReoptRequested());
+  const ColumnStore at_begin = s.table().store().WithoutIndex();
+  ASSERT_TRUE(s.BeginBackgroundReopt());
+  s.BuildBackgroundReopt();
+  ASSERT_TRUE(s.FinishBackgroundReopt());
+  // The adopted fire's catch-up holds no archive rows.
+  const ArchiveSnapshot& snap = s.catchup()->snapshot();
+  EXPECT_FALSE(snap.owned());
+  EXPECT_EQ(snap.size(), at_begin.size());
+  EXPECT_EQ(snap.copied_rows(), 0u);
+  // Deleting the oldest rows changes the first page and, through the rows
+  // swapped down, the last one; a step copies nothing.
+  for (; next < 516; ++next) ASSERT_TRUE(s.Delete(next));
+  const size_t copied = snap.copied_rows();
+  EXPECT_GT(copied, ArchiveSnapshot::kPageRows);
+  EXPECT_LE(copied, 2 * ArchiveSnapshot::kPageRows);
+  EXPECT_EQ(s.StepCatchup(512), 512u);
+  EXPECT_EQ(snap.copied_rows(), copied);
+  persist::Writer got, want;
+  snap.SaveTo(&got);
+  at_begin.SaveTo(&want);
+  EXPECT_EQ(got.buffer(), want.buffer());
+  // Deleting on until every page is copied (the two ends meet near the
+  // middle) copies each page once: never more than the archive.
+  while (snap.copied_rows() < snap.size()) {
+    ASSERT_LT(next, ds.rows.size() / 2 + ArchiveSnapshot::kPageRows);
+    ASSERT_TRUE(s.Delete(next++));
+  }
+  EXPECT_EQ(snap.copied_rows(), snap.size());
+  EXPECT_EQ(s.StepCatchup(512), 512u);
+  persist::Writer got_copied;
+  snap.SaveTo(&got_copied);
+  EXPECT_EQ(got_copied.buffer(), want.buffer());
+}
+
+// --- Catch-up over a moving archive ------------------------------------------
+//
+// Catch-up samples the archive as it stood when its tree was built, while
+// the window keeps deleting from it. These runs step catch-up between
+// deletes, re-optimize, and end with deletes after the last rebuild, so the
+// snapshot each live catch-up serializes differs from the live table. The
+// answers along the way and the final SaveTo bytes hash to digests recorded
+// from an earlier build.
+
+/// A sliding window driven through one system: each step inserts the next
+/// arrival and deletes the oldest row.
+template <typename System>
+struct Window {
+  System* system;
+  Rng* rng;
+  uint64_t head;
+  uint64_t tail = 0;
+
+  void Step() {
+    system->Insert(WindowRow(head++, rng));
+    ASSERT_TRUE(system->Delete(tail++));
+  }
+};
+
+/// SaveTo bytes of `s` with the two wall-clock counters zeroed
+/// (last_reopt_seconds and last_blocking_seconds, which follow the table,
+/// the system RNG and eleven U64 counters). The catch-up's processing time
+/// is 0 when no step ran since it started, which the callers check.
+std::string JanusSnapshotDigest(const JanusAqp& s) {
+  persist::Writer all, table, rng;
+  s.SaveTo(&all);
+  s.table().SaveTo(&table);
+  Rng(0).SaveTo(&rng);
+  std::vector<uint8_t> bytes = all.buffer();
+  const size_t at =
+      table.buffer().size() + rng.buffer().size() + 11 * sizeof(uint64_t);
+  std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+              2 * sizeof(double), uint8_t{0});
+  persist::Writer masked;
+  masked.Bytes(bytes.data(), bytes.size());
+  return DigestHex(masked);
+}
+
+struct WindowDigests {
+  std::string answers;
+  std::string snapshot;
+};
+
+/// 1-D janus over a sliding window whose oldest leaf drains (starvation
+/// fires) while the aggregate drifts (drift fires). `background` makes the
+/// test the pipeline's owner: a fire runs as Begin, window steps, one
+/// catch-up step, Build, window steps, Finish.
+WindowDigests RunJanusWindow(bool background) {
+  constexpr uint64_t kRows = 16000;
+  constexpr uint64_t kSteps = 20000;
+  Rng data_rng(51);
+  std::vector<Tuple> rows;
+  for (uint64_t id = 0; id < kRows; ++id) {
+    rows.push_back(WindowRow(id, &data_rng));
+  }
+  JanusOptions o = BaseOptions();
+  o.spec.agg_column = 2;
+  o.num_leaves = 16;
+  o.enable_triggers = true;
+  o.trigger_check_interval = 32;
+  // Adopts 3 starvation and 4 drift candidates in either mode (beta 10
+  // adopts no drift candidate here, beta 3 no starvation one).
+  o.beta = 4;
+  JanusAqp s(o);
+  if (background) s.SetReoptNotify([] {});
+  s.LoadInitial(rows);
+  s.Initialize();
+  Window<JanusAqp> window{&s, &data_rng, kRows};
+  persist::Writer answers;
+  Rng query_rng(53);
+  for (uint64_t step = 0; step < kSteps; ++step) {
+    window.Step();
+    if (step % 50 == 0) s.StepCatchup(40);
+    if (background && s.ReoptRequested()) {
+      EXPECT_TRUE(s.BeginBackgroundReopt());
+      for (int i = 0; i < 3; ++i) window.Step();
+      s.StepCatchup(64);
+      s.BuildBackgroundReopt();
+      for (int i = 0; i < 3; ++i) window.Step();
+      s.FinishBackgroundReopt();
+    }
+    if ((step + 1) % 1000 != 0) continue;
+    for (int k = 0; k < 4; ++k) {
+      const double lo = static_cast<double>(window.tail) +
+                        query_rng.Uniform(0, 0.8) * kRows;
+      const double hi = lo + query_rng.Uniform(0.01, 0.2) * kRows;
+      for (const AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg}) {
+        AggQuery q = MakeQuery(f, lo, hi);
+        q.agg_column = 2;
+        const QueryResult r = s.Query(q);
+        answers.F64(r.estimate);
+        answers.F64(r.ci_half_width);
+      }
+    }
+  }
+  EXPECT_GT(s.counters().repartitions, 2u);
+  EXPECT_GT(s.counters().trigger_fires, s.counters().repartitions);
+  answers.U64(s.counters().trigger_checks);
+  answers.U64(s.counters().trigger_fires);
+  answers.U64(s.counters().repartitions);
+  answers.U64(s.catchup_processed());
+  // A rebuild, then deletes with no catch-up step: the snapshot the new
+  // catch-up serializes is the archive as it stood at the rebuild.
+  s.Reinitialize();
+  for (int i = 0; i < 1500; ++i) window.Step();
+  EXPECT_EQ(s.catchup_processed(), 0u);
+  EXPECT_EQ(s.catchup_processing_seconds(), 0.0);
+  return {DigestHex(answers), JanusSnapshotDigest(s)};
+}
+
+TEST(JanusTest, BlockingWindowWithCatchupMatchesRecordedDigests) {
+  const WindowDigests d = RunJanusWindow(/*background=*/false);
+  EXPECT_EQ(d.answers, "0x39b30519f0eca2af");
+  EXPECT_EQ(d.snapshot, "0x2044aa364d4abfed");
+}
+
+TEST(JanusTest, BackgroundWindowWithCatchupMatchesRecordedDigests) {
+  const WindowDigests d = RunJanusWindow(/*background=*/true);
+  EXPECT_EQ(d.answers, "0x325306b0954d4481");
+  EXPECT_EQ(d.snapshot, "0xfb00cbf2f2b3c1f0");
+}
+
+/// multi over the same kind of window: two templates registered up front,
+/// a third discovered mid-stream, catch-up run to its goal between deletes
+/// and a rebuild every 3000 steps. `background` runs each rebuild as Begin,
+/// window steps, catch-up, Build, window steps, Finish.
+WindowDigests RunMultiWindow(bool background) {
+  constexpr uint64_t kRows = 12000;
+  constexpr uint64_t kSteps = 11500;
+  Rng data_rng(61);
+  std::vector<Tuple> rows;
+  for (uint64_t id = 0; id < kRows; ++id) {
+    rows.push_back(WindowRow(id, &data_rng));
+  }
+  MultiTemplateJanus m(BaseOptions());
+  SynopsisSpec one;
+  one.agg_column = 2;
+  one.predicate_columns = {0};
+  SynopsisSpec two = one;
+  two.predicate_columns = {0, 1};
+  m.AddTemplate(one);
+  m.AddTemplate(two);
+  m.LoadInitial(rows);
+  m.Initialize();
+  Window<MultiTemplateJanus> window{&m, &data_rng, kRows};
+  auto rebuild = [&] {
+    if (!background) {
+      EXPECT_TRUE(m.Rebuild());
+      return;
+    }
+    EXPECT_TRUE(m.BeginBackgroundRebuild());
+    for (int i = 0; i < 5; ++i) window.Step();
+    m.RunCatchupToGoal();
+    m.BuildBackgroundRebuild();
+    for (int i = 0; i < 5; ++i) window.Step();
+    EXPECT_TRUE(m.FinishBackgroundRebuild());
+  };
+  persist::Writer answers;
+  Rng query_rng(63);
+  auto query = [&](AggFunc f, std::vector<int> pred, Rectangle rect) {
+    AggQuery q;
+    q.func = f;
+    q.agg_column = 2;
+    q.predicate_columns = std::move(pred);
+    q.rect = std::move(rect);
+    const QueryResult r = m.Query(q);
+    answers.F64(r.estimate);
+    answers.F64(r.ci_half_width);
+  };
+  for (uint64_t step = 0; step < kSteps; ++step) {
+    window.Step();
+    if (step % 3000 == 2999) rebuild();
+    // Every other period catches up before its rebuild's Begin; the others
+    // catch up between Begin and Finish in background mode.
+    if (step % 6000 == 1000) m.RunCatchupToGoal();
+    if (step == 4500) {
+      query(AggFunc::kSum, {1}, Rectangle({0.2}, {0.7}));  // discovers {1}
+    }
+    if ((step + 1) % 1000 != 0) continue;
+    const double lo =
+        static_cast<double>(window.tail) + query_rng.Uniform(0, 0.8) * kRows;
+    const double hi = lo + query_rng.Uniform(0.01, 0.2) * kRows;
+    const double y0 = query_rng.Uniform(0, 0.5);
+    const double y1 = y0 + query_rng.Uniform(0.1, 0.5);
+    for (const AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg}) {
+      query(f, {0}, Rectangle({lo}, {hi}));
+      query(f, {0, 1}, Rectangle({lo, y0}, {hi, y1}));
+      if (step >= 4500) query(f, {1}, Rectangle({y0}, {y1}));
+    }
+  }
+  EXPECT_EQ(m.num_templates(), 3u);
+  // The last rebuild restarted every catch-up; the deletes after it leave
+  // each snapshot different from the live table.
+  rebuild();
+  for (int i = 0; i < 1500; ++i) window.Step();
+  persist::Writer snapshot;
+  m.SaveTo(&snapshot);
+  return {DigestHex(answers), DigestHex(snapshot)};
+}
+
+TEST(JanusTest, BlockingMultiWindowWithCatchupMatchesRecordedDigests) {
+  const WindowDigests d = RunMultiWindow(/*background=*/false);
+  EXPECT_EQ(d.answers, "0xf5979592d0673794");
+  EXPECT_EQ(d.snapshot, "0x0d8ca353da9d75d3");
+}
+
+TEST(JanusTest, BackgroundMultiWindowWithCatchupMatchesRecordedDigests) {
+  const WindowDigests d = RunMultiWindow(/*background=*/true);
+  EXPECT_EQ(d.answers, "0x35543405ff1145a4");
+  EXPECT_EQ(d.snapshot, "0x794157c685209434");
 }
 
 }  // namespace

@@ -293,8 +293,9 @@ TEST_F(ParallelScanTest, BatchedCatchupIsBitIdenticalToSerial) {
     Rng rng(TestSeed() + 6);
     dpt->InitializeFromReservoir(store().SampleUniform(&rng, 512),
                                  store().size());
-    CatchupEngine catchup(dpt.get(), store().WithoutIndex(), 20000,
-                          TestSeed() + 7);
+    CatchupEngine catchup(
+        dpt.get(), std::make_shared<ArchiveSnapshot>(store().WithoutIndex()),
+        20000, TestSeed() + 7);
     catchup.RunToGoal();
     EXPECT_EQ(20000u, catchup.processed());
     return dpt;

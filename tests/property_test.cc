@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/catchup.h"
 #include "core/janus.h"
 #include "core/partitioner_1d.h"
 #include "core/spt.h"
 #include "data/generators.h"
 #include "data/ground_truth.h"
+#include "persist/serde.h"
 #include "sampling/reservoir.h"
 #include "util/invariants.h"
 #include "util/stats.h"
@@ -266,14 +268,41 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChurnConservationTest,
                          ::testing::Values(101, 202, 303, 404));
 
 // ---------------------------------------------------------------------------
-// Re-optimization archive snapshot: copied a few rows at a time while random
-// inserts and deletes reshape the live table, it still equals the
-// Begin-time copy row for row.
+// Catch-up archive snapshots: copy-on-write views of a table that random
+// inserts and deletes keep reshaping read, row for row and byte for byte,
+// as the copy taken when each view started.
 // ---------------------------------------------------------------------------
+
+/// A view and the copy of the table taken with it.
+struct CheckedView {
+  std::shared_ptr<ArchiveSnapshot> view;
+  ColumnStore expected;
+};
+
+void ExpectViewReadsAsCopy(CheckedView* c, Rng* rng) {
+  const ColumnStore& expected = c->expected;
+  ASSERT_EQ(c->view->size(), expected.size());
+  ASSERT_LE(c->view->copied_rows(), expected.size());
+  std::vector<size_t> positions(1 + rng->NextUint64(64));
+  for (size_t& p : positions) p = rng->NextUint64(expected.size());
+  const std::vector<Tuple> rows = c->view->Gather(positions);
+  for (size_t i = 0; i < positions.size(); ++i) {
+    const Tuple want = expected.RowTuple(positions[i]);
+    ASSERT_EQ(rows[i].id, want.id) << "position " << positions[i];
+    for (int col = 0; col < expected.num_columns(); ++col) {
+      ASSERT_EQ(rows[i][col], want[col]) << "position " << positions[i];
+    }
+  }
+  persist::Writer got, want;
+  c->view->SaveTo(&got);
+  expected.SaveTo(&want);
+  ASSERT_EQ(got.buffer(), want.buffer());
+}
 
 class ArchiveSnapshotTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ArchiveSnapshotTest, ChunkedCopyEqualsBeginTimeCopy) {
+TEST_P(ArchiveSnapshotTest, ViewsReadAsTheCopyTakenAtTheirStart) {
+  constexpr size_t kPage = ArchiveSnapshot::kPageRows;
   Rng rng(GetParam());
   DynamicTable table(Schema{{"x", "y"}});
   uint64_t next_id = 0;
@@ -284,58 +313,80 @@ TEST_P(ArchiveSnapshotTest, ChunkedCopyEqualsBeginTimeCopy) {
     t[1] = rng.Normal(10, 2);
     table.Insert(t);
   };
-  for (int i = 0; i < 400; ++i) insert();
+  for (size_t i = 0; i < 24 * kPage; ++i) insert();
 
   Mutex mu;
-  ReoptRun run;
-  {
+  auto start = [&] {
     MutexLock lock(&mu);
-    run.Begin({}, table.store());
-  }
-  const ColumnStore expected = table.store().WithoutIndex();
-  const size_t n0 = expected.size();
+    return CheckedView{std::make_shared<ArchiveSnapshot>(table.store(), &mu),
+                       table.store().WithoutIndex()};
+  };
+  std::vector<CheckedView> views;
+  views.push_back(start());
+  const size_t n0 = views[0].view->size();
   const uint64_t first_new_id = next_id;
 
-  bool swapped_uncopied_into_copied = false;
+  bool swapped_begin_row_forward = false;
   bool deleted_new_row = false;
+  bool checked_partial_views = false;
   size_t min_rows = n0;
-  while (!run.ready()) {
-    ASSERT_TRUE(run.AssembleArchive(&mu, table.store(), 1 + rng.NextUint64(6)));
-    const size_t copied = run.archive().size();
-    // Delete-heavy early on so the table shrinks below n0, then balanced.
-    const double delete_prob = copied < n0 / 2 ? 0.7 : 0.5;
-    for (uint64_t op = rng.NextUint64(10); op > 0; --op) {
+  // Phase 0 shrinks the table below n0, deleting in the first pages only,
+  // so the first view copies its ends and reads its middle live; phase 1
+  // runs a second view beside it; phase 2 deletes anywhere until the first
+  // view has copied every page.
+  int phase = 0;
+  int phase_ends = 0;
+  for (int op = 0; op < 40000 && phase < 3; ++op) {
+    {
       MutexLock lock(&mu);
+      const double delete_prob = phase == 0 ? 0.7 : 0.5;
       if (table.empty() || rng.NextDouble() >= delete_prob) {
         insert();
-        continue;
+      } else {
+        const ColumnStore& store = table.store();
+        const size_t band = phase == 2 ? store.size() : 4 * kPage;
+        const size_t pos = rng.NextUint64(std::min(band, store.size()));
+        const size_t last = store.size() - 1;
+        const uint64_t id = store.id_at(pos);
+        swapped_begin_row_forward |=
+            pos < last && last < n0 && store.id_at(last) < first_new_id;
+        deleted_new_row |= id >= first_new_id;
+        // The owner's update path: every live view copies what the delete
+        // changes, then the swap-remove.
+        ASSERT_TRUE(table.Delete(id, [&](size_t p) {
+          for (CheckedView& c : views) c.view->BeforeDelete(p);
+        }));
+        min_rows = std::min(min_rows, table.size());
       }
-      const ColumnStore& store = table.store();
-      const size_t pos = rng.NextUint64(store.size());
-      const size_t last = store.size() - 1;
-      const uint64_t id = store.id_at(pos);
-      swapped_uncopied_into_copied |= pos < copied && last >= copied &&
-                                      last < n0 &&
-                                      store.id_at(last) < first_new_id;
-      deleted_new_row |= id >= first_new_id;
-      // The owner's update path: park, then swap-remove.
-      run.ParkRows(store, id);
-      ASSERT_TRUE(table.Delete(id));
-      min_rows = std::min(min_rows, table.size());
+    }
+    if (rng.NextDouble() < 0.02) {
+      bool partial = views.size() == 2;
+      for (CheckedView& c : views) {
+        ASSERT_NO_FATAL_FAILURE(ExpectViewReadsAsCopy(&c, &rng));
+        partial &= c.view->copied_rows() > 0 &&
+                   c.view->copied_rows() < c.view->size();
+      }
+      checked_partial_views |= partial;
+    }
+    const ArchiveSnapshot& first = *views[0].view;
+    if (phase == 0 && table.size() + 2 * kPage < n0) {
+      views.push_back(start());
+      phase = 1;
+      phase_ends = op + 2000;
+    } else if (phase == 1 && op == phase_ends) {
+      phase = 2;
+    } else if (phase == 2 && first.copied_rows() == first.size()) {
+      phase = 3;
     }
   }
 
-  EXPECT_TRUE(swapped_uncopied_into_copied);
+  ASSERT_EQ(phase, 3);
+  EXPECT_TRUE(swapped_begin_row_forward);
   EXPECT_TRUE(deleted_new_row);
+  EXPECT_TRUE(checked_partial_views);
   EXPECT_LT(min_rows, n0);
-  const ColumnStore& got = run.archive();
-  ASSERT_EQ(got.size(), n0);
-  EXPECT_EQ(got.ids(), expected.ids());
-  for (int c = 0; c < expected.num_columns(); ++c) {
-    for (size_t pos = 0; pos < n0; ++pos) {
-      ASSERT_EQ(got.value(pos, c), expected.value(pos, c))
-          << "column " << c << " position " << pos;
-    }
+  for (CheckedView& c : views) {
+    ASSERT_NO_FATAL_FAILURE(ExpectViewReadsAsCopy(&c, &rng));
   }
 }
 
