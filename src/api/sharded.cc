@@ -279,51 +279,49 @@ bool ShardedEngine::DeleteImpl(uint64_t id) {
 }
 
 QueryResult ShardedEngine::QueryImpl(const AggQuery& q) const {
-  return QueryBatchImpl({q}, nullptr).front();
+  return AnswerShardByShard({&q, 1}).front();
 }
 
 std::vector<QueryResult> ShardedEngine::QueryBatchImpl(
     const std::vector<AggQuery>& queries, ThreadPool* pool) const {
-  // The fan-out axis is shards, on the internal pool; an external pool adds
-  // nothing here (each shard answers the whole batch under one lock hold).
+  // Each shard answers the whole batch under one lock hold on the calling
+  // thread; an external pool adds nothing here.
   (void)pool;
+  return AnswerShardByShard(queries);
+}
+
+std::vector<QueryResult> ShardedEngine::AnswerShardByShard(
+    std::span<const AggQuery> queries) const {
   const size_t n = shards_.size();
   const size_t m = queries.size();
-  if (n == 1) {
-    // Single shard: the merge is an identity, so skip it (and the COUNT
-    // companion queries AVG/MIN/MAX merging would otherwise need).
-    Shard& shard = *shards_[0];
-    shard.Quiesce();
-    ReaderMutexLock lock(&shard.engine_mu);
-    return shard.engine->QueryBatch(queries, nullptr);
+  // parts[i][s] is shard s's answer to query i; counts[i][s] is its COUNT
+  // estimate for the same predicate, the AVG/MIN/MAX merge weight.
+  std::vector<std::vector<QueryResult>> parts(m);
+  std::vector<std::vector<double>> counts(m);
+  for (size_t i = 0; i < m; ++i) {
+    parts[i].resize(n);
+    counts[i].resize(n);
   }
-  std::vector<std::vector<QueryResult>> parts(
-      n, std::vector<QueryResult>(m));
-  std::vector<std::vector<double>> counts(n, std::vector<double>(m, 0));
-  ForEachShardParallel([&, this](size_t s) {
+  for (size_t s = 0; s < n; ++s) {
     Shard& shard = *shards_[s];
     shard.Quiesce();
     ReaderMutexLock lock(&shard.engine_mu);
     for (size_t i = 0; i < m; ++i) {
-      parts[s][i] = shard.engine->Query(queries[i]);
-      if (NeedsShardCounts(queries[i].func)) {
+      parts[i][s] = shard.engine->Query(queries[i]);
+      if (n > 1 && NeedsShardCounts(queries[i].func)) {
         AggQuery cq = queries[i];
         cq.func = AggFunc::kCount;
-        counts[s][i] = shard.engine->Query(cq).estimate;
+        counts[i][s] = shard.engine->Query(cq).estimate;
       }
     }
-  });
-
+  }
   std::vector<QueryResult> out;
   out.reserve(m);
-  std::vector<QueryResult> column(n);
-  std::vector<double> count_column(n);
   for (size_t i = 0; i < m; ++i) {
-    for (size_t s = 0; s < n; ++s) {
-      column[s] = parts[s][i];
-      count_column[s] = counts[s][i];
-    }
-    out.push_back(MergeShardResults(queries[i].func, column, count_column));
+    // A single shard's answer is the answer: the merge would only round it.
+    out.push_back(n == 1 ? std::move(parts[i][0])
+                         : MergeShardResults(queries[i].func, parts[i],
+                                             counts[i]));
   }
   return out;
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,9 +48,12 @@ QueryResult MergeShardResults(AggFunc func,
 /// Thread-safety contract (stronger than base AqpEngine):
 ///  - Insert()/Delete() may be called from any number of threads.
 ///  - Query()/QueryBatch()/Stats() may run concurrently with updates: each
-///    fan-out first waits at the shard's quiesce point (every update
-///    enqueued before the call is applied), then reads under the shard's
+///    shard's read first waits at the shard's quiesce point (every update
+///    enqueued before the call is applied), then runs under the shard's
 ///    shared lock. Callers get read-your-writes without external quiescing.
+///    Query() and QueryBatch() do this on the calling thread, one shard at
+///    a time in shard order; Stats() and the audits read every shard at
+///    once on the fan-out pool.
 ///  - Delete() is synchronous (quiesces the target shard first) so its
 ///    not-live return value stays accurate.
 ///
@@ -111,10 +115,18 @@ class ShardedEngine : public AqpEngine {
   /// all of them; then rethrow the first exception any call threw.
   void ForEachShardParallel(const std::function<void(size_t)>& fn) const;
 
+  /// The query path of Query() and QueryBatch(): for each shard in index
+  /// order, waits at its quiesce point and answers every query under its
+  /// reader lock, on the calling thread; then merges each query's shard
+  /// answers in shard order.
+  std::vector<QueryResult> AnswerShardByShard(
+      std::span<const AggQuery> queries) const;
+
   std::string name_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Fan-out pool for queries / initialization, one thread per shard
-  /// (distinct from the per-shard maintenance threads).
+  /// Fan-out pool for initialization, catch-up, Stats() and audits, one
+  /// thread per shard (distinct from the per-shard maintenance threads).
+  /// Queries never use it.
   mutable ThreadPool pool_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <iterator>
 #include <utility>
 
 #include "api/driver.h"
@@ -467,11 +469,18 @@ void AqpServer::DispatchLoop() {
         if (left <= 0) break;
         batch_cv_.WaitFor(&batch_mu_, left);
       }
-      batch.swap(pending_);
+      // Queries that arrived while the previous batch ran can outnumber
+      // batch_max; the surplus stays pending for the next batch.
+      const size_t take =
+          std::min(pending_.size(), std::max<size_t>(1, opts_.batch_max));
+      const auto cut = pending_.begin() + static_cast<std::ptrdiff_t>(take);
+      batch.assign(std::make_move_iterator(pending_.begin()),
+                   std::make_move_iterator(cut));
+      pending_.erase(pending_.begin(), cut);
     }
-    // One engine call for the whole window: a single read-room hold (and,
-    // for sharded engines, a single per-shard quiesce) amortized over
-    // every query that arrived in it.
+    // One engine call per batch of at most batch_max queries: a single
+    // read-room hold (and, for sharded engines, a single per-shard quiesce)
+    // amortized over the batch.
     std::vector<AggQuery> queries;
     queries.reserve(batch.size());
     for (const PendingQuery& p : batch) queries.push_back(p.query);

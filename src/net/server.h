@@ -73,10 +73,9 @@ struct ServerOptions {
 ///
 /// Request batching: with batch_window_us > 0, single-query requests from
 /// all connections funnel into a dispatcher thread that coalesces them
-/// into one engine QueryBatch per window. The engine holds the read room
-/// once per batch — for sharded engines that means one per-shard quiesce
-/// per batch instead of per query, which is where the serving throughput
-/// win under concurrent ingest comes from.
+/// into engine QueryBatch calls of at most batch_max queries, one per
+/// window. The engine holds the read room once per batch — for sharded
+/// engines that means one per-shard quiesce per batch instead of per query.
 ///
 /// Admission control: a token bucket per tenant id (frame header field),
 /// refilled at tenant_rate tokens/sec up to tenant_burst. Rejected

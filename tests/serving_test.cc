@@ -5,7 +5,8 @@
 //    the wire is bit-identical to the same query answered in-process — the
 //    serving tier adds transport, not approximation.
 //  - Batching equivalence: results with a coalescing window are identical to
-//    window=0, under concurrent clients.
+//    window=0, under concurrent clients; and no engine batch exceeds
+//    batch_max, also when queries pile up behind a running batch.
 //  - Hostile bytes: corrupt headers, bad checksums, truncated frames and
 //    unknown message types all produce *typed* error replies (or a clean
 //    close), never a crash — and the server keeps serving other connections.
@@ -16,7 +17,9 @@
 //  - Updates through the server mutate the shared engine in both synchronous
 //    and broker-streamed modes.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -153,6 +156,69 @@ TEST(ServingTest, BatchingWindowPreservesResultsUnderConcurrentClients) {
   EXPECT_EQ(stats.queries,
             static_cast<uint64_t>(kClients) * workload.size());
   server.Stop();
+}
+
+/// Engine whose every batch takes 2 ms, so queries pile up behind a running
+/// batch; it records the largest batch it was handed.
+class SlowBatchEngine : public AqpEngine {
+ public:
+  const char* name() const override { return "slow_batch"; }
+  size_t largest_batch() const { return largest_.load(); }
+
+ protected:
+  void LoadInitialImpl(const std::vector<Tuple>&) override {}
+  void InitializeImpl() override {}
+  void InsertImpl(const Tuple&) override {}
+  bool DeleteImpl(uint64_t) override { return false; }
+  QueryResult QueryImpl(const AggQuery&) const override {
+    return QueryResult{};
+  }
+  std::vector<QueryResult> QueryBatchImpl(const std::vector<AggQuery>& queries,
+                                          ThreadPool*) const override {
+    // Only the dispatcher thread calls this.
+    largest_.store(std::max(largest_.load(), queries.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return std::vector<QueryResult>(queries.size());
+  }
+  EngineStats StatsImpl() const override { return EngineStats{}; }
+
+ private:
+  mutable std::atomic<size_t> largest_{0};
+};
+
+TEST(ServingTest, BatchesNeverExceedBatchMax) {
+  SlowBatchEngine engine;
+  ServerOptions opts;
+  opts.batch_window_us = 500;
+  opts.batch_max = 2;
+  AqpServer server(&engine, opts);
+  server.Start();
+
+  AggQuery q;
+  q.predicate_columns = {0};
+  q.rect = Rectangle({0.0}, {1.0});
+  constexpr int kClients = 8;
+  constexpr int kQueriesPerClient = 10;
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      AqpClient client("127.0.0.1", server.port(),
+                       static_cast<uint64_t>(c));
+      for (int i = 0; i < kQueriesPerClient; ++i) {
+        if (!client.Query(q).ok) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  server.Stop();
+  EXPECT_EQ(failures.load(), 0);
+  // Eight closed-loop clients queue up to seven queries behind each 2 ms
+  // batch; only batch_max of them may ride the next one.
+  EXPECT_GE(engine.largest_batch(), 1u);
+  EXPECT_LE(engine.largest_batch(), opts.batch_max);
+  EXPECT_EQ(server.stats().batched_queries,
+            static_cast<uint64_t>(kClients) * kQueriesPerClient);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 // deterministic exact backend, the merged estimate/variance must equal the
 // hand-pooled per-shard estimators to 1e-9 for every aggregate type, and on
 // a real backend (janus) CI coverage over a large randomized workload must
-// stay within tolerance of the unsharded engine.
+// stay within tolerance of the unsharded engine. A recorded digest pins every
+// bit of sharded:janus answers, single queries and batches alike.
 
 #include <algorithm>
 #include <cmath>
@@ -18,6 +19,8 @@
 #include "data/generators.h"
 #include "data/ground_truth.h"
 #include "data/workload.h"
+#include "persist/serde.h"
+#include "tests/test_digest.h"
 #include "util/rng.h"
 
 namespace janus {
@@ -402,6 +405,75 @@ TEST(ShardedMergeTest, CiCoverageTracksUnshardedEngine) {
   EXPECT_GE(cov_sharded, 0.60);
   EXPECT_NEAR(cov_sharded, cov_plain, 0.10)
       << "sharded=" << cov_sharded << " plain=" << cov_plain;
+}
+
+TEST(ShardedMergeTest, ShardedJanusAnswersMatchRecordedDigest) {
+  // Four janus shards over a sliding window (inserts at the head, deletes
+  // at the tail, so the triggers fire), queried between the slides through
+  // Query, a batch of one and a batch of many. Every field of every answer
+  // hashes to a digest recorded from an earlier build.
+  constexpr uint64_t kRows = 8000;
+  constexpr uint64_t kSlide = 1500;
+  Rng rng(67);
+  const auto window_row = [&rng](uint64_t id) {
+    Tuple t;
+    t.id = id;
+    t[0] = static_cast<double>(id) / kRows;
+    t[1] = rng.Normal(10, 3);
+    return t;
+  };
+  std::vector<Tuple> rows;
+  rows.reserve(kRows);
+  for (uint64_t id = 0; id < kRows; ++id) rows.push_back(window_row(id));
+  EngineConfig cfg;
+  cfg.agg_column = 1;
+  cfg.predicate_columns = {0};
+  cfg.num_leaves = 16;
+  cfg.num_shards = 4;
+  cfg.seed = 19;
+  auto engine = EngineRegistry::Create("sharded:janus", cfg);
+  engine->LoadInitial(rows);
+  engine->Initialize();
+  engine->RunCatchupToGoal();
+
+  persist::Writer answers;
+  const auto record = [&answers](const QueryResult& r) {
+    answers.Bool(r.ok);
+    answers.F64(r.estimate);
+    answers.F64(r.ci_half_width);
+    answers.F64(r.variance_catchup);
+    answers.F64(r.variance_sample);
+    answers.U64(r.covered_nodes);
+    answers.U64(r.partial_leaves);
+    answers.Bool(r.exact);
+  };
+  uint64_t oldest = 0;
+  for (int round = 0; round < 5; ++round) {
+    std::vector<AggQuery> batch;
+    for (int k = 0; k < 4; ++k) {
+      const double lo = (oldest + rng.Uniform(0, 0.8) * kRows) / kRows;
+      const double hi = lo + rng.Uniform(0.01, 0.2);
+      for (AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg,
+                        AggFunc::kMin, AggFunc::kMax}) {
+        const AggQuery q = MakeQuery(f, lo, hi);
+        record(engine->Query(q));
+        batch.push_back(q);
+      }
+    }
+    for (const QueryResult& r : engine->QueryBatch({batch.back()})) record(r);
+    for (const QueryResult& r : engine->QueryBatch(batch)) record(r);
+    for (uint64_t i = 0; i < kSlide; ++i) {
+      engine->Insert(window_row(oldest + kRows));
+      ASSERT_TRUE(engine->Delete(oldest++));
+    }
+  }
+  const EngineStats stats = engine->Stats();
+  EXPECT_EQ(stats.rows, kRows);
+  EXPECT_GT(stats.repartitions, 0u);
+  answers.U64(stats.trigger_checks);
+  answers.U64(stats.trigger_fires);
+  answers.U64(stats.repartitions);
+  EXPECT_EQ(DigestHex(answers), "0x3cc62cb544d8fe23");
 }
 
 }  // namespace
