@@ -14,7 +14,7 @@ size_t EngineDriver::PumpOnce() {
   std::vector<Tuple> batch;
   const size_t ins = broker_->insert_topic()->Poll(insert_offset_,
                                                    opts_.poll_batch, &batch);
-  for (const Tuple& t : batch) engine_->Insert(t);
+  engine_->InsertBatch(batch);
   insert_offset_ += ins;
   stats_.inserts += ins;
   consumed += ins;

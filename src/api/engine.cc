@@ -71,6 +71,14 @@ void AqpEngine::Insert(const Tuple& t) {
   InsertImpl(t);
 }
 
+void AqpEngine::InsertBatch(std::span<const Tuple> rows) {
+  InsertBatchImpl(rows);
+}
+
+void AqpEngine::InsertBatchImpl(std::span<const Tuple> rows) {
+  for (const Tuple& t : rows) Insert(t);
+}
+
 bool AqpEngine::Delete(uint64_t id) {
   UpdateRoom room(base_rooms());
   if (update_concurrency() == UpdateConcurrency::kSerial) {

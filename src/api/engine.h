@@ -2,6 +2,7 @@
 #define JANUS_API_ENGINE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,10 +87,11 @@ struct EngineStats {
 /// required for any engine):
 ///  - Query()/QueryBatch()/Stats()/Save() are *readers*: any number may run
 ///    concurrently, against one engine, from any threads.
-///  - Insert()/Delete()/StepCatchup()/RunCatchupToGoal() are *updaters*:
-///    they exclude readers but run concurrently with each other when the
-///    backend's maintenance path is thread-safe (update_concurrency()
-///    kConcurrent — janus); otherwise the base class serializes them too.
+///  - Insert()/InsertBatch()/Delete()/StepCatchup()/RunCatchupToGoal() are
+///    *updaters*: they exclude readers but run concurrently with each other
+///    when the backend's maintenance path is thread-safe
+///    (update_concurrency() kConcurrent — janus); otherwise the base class
+///    serializes them too.
 ///  - LoadInitial()/Initialize()/Reinitialize()/Load() are *exclusive*.
 /// The two rooms alternate under contention (util/room_lock.h), so a steady
 /// update stream cannot starve queries or vice versa. The "sharded:<inner>"
@@ -120,6 +122,11 @@ class AqpEngine {
 
   /// Process one insertion.
   void Insert(const Tuple& t);
+
+  /// Insert each row, in order. Room-locked engines take one update-room
+  /// hold per row, so a batch never locks readers out for all its rows; the
+  /// sharded engines hand each shard its rows in one enqueue.
+  void InsertBatch(std::span<const Tuple> rows);
 
   /// Process one deletion by tuple id. Returns false if the id is not live.
   bool Delete(uint64_t id);
@@ -218,6 +225,9 @@ class AqpEngine {
   virtual void LoadInitialImpl(const std::vector<Tuple>& rows) = 0;
   virtual void InitializeImpl() = 0;
   virtual void InsertImpl(const Tuple& t) = 0;
+  /// Called with no room held. The default inserts row by row through
+  /// Insert(); kInternal engines override it to apply a batch at once.
+  virtual void InsertBatchImpl(std::span<const Tuple> rows);
   virtual bool DeleteImpl(uint64_t id) = 0;
   virtual QueryResult QueryImpl(const AggQuery& q) const = 0;
   /// Default: work-stealing fan-out over `pool` calling QueryImpl (already

@@ -138,15 +138,19 @@ struct ShardedEngine::Shard {
     worker.join();
   }
 
-  void EnqueueInsert(const Tuple& t) {
+  /// Hand `rows` to the maintenance thread in order. They count as
+  /// enqueued before they are pushed, so a read that starts once this call
+  /// returns waits for all of them.
+  void EnqueueInserts(std::span<const Tuple> rows) {
     {
       MutexLock lock(&state_mu);
-      ++enqueued;
+      enqueued += rows.size();
     }
-    // Blocks on backpressure; rejected only during shutdown.
-    if (!queue.Push(t)) {
+    // Blocks on backpressure; rows are rejected only during shutdown.
+    const size_t pushed = queue.PushBatch(rows);
+    if (pushed < rows.size()) {
       MutexLock lock(&state_mu);
-      --enqueued;
+      enqueued -= rows.size() - pushed;
     }
   }
 
@@ -266,7 +270,30 @@ void ShardedEngine::InitializeImpl() {
 }
 
 void ShardedEngine::InsertImpl(const Tuple& t) {
-  shards_[ShardIndexForId(t.id, shards_.size())]->EnqueueInsert(t);
+  shards_[ShardIndexForId(t.id, shards_.size())]->EnqueueInserts({&t, 1});
+}
+
+void ShardedEngine::InsertBatchImpl(std::span<const Tuple> rows) {
+  const size_t n = shards_.size();
+  // A stable counting sort by shard: grouped[begin[s], begin[s + 1]) holds
+  // shard s's rows in their batch order.
+  std::vector<size_t> shard_of(rows.size());
+  std::vector<size_t> begin(n + 1, 0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    shard_of[i] = ShardIndexForId(rows[i].id, n);
+    ++begin[shard_of[i] + 1];
+  }
+  for (size_t s = 0; s < n; ++s) begin[s + 1] += begin[s];
+  std::vector<size_t> next(begin.begin(), begin.end() - 1);
+  std::vector<Tuple> grouped(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    grouped[next[shard_of[i]]++] = rows[i];
+  }
+  const std::span<const Tuple> all(grouped);
+  for (size_t s = 0; s < n; ++s) {
+    if (begin[s + 1] == begin[s]) continue;
+    shards_[s]->EnqueueInserts(all.subspan(begin[s], begin[s + 1] - begin[s]));
+  }
 }
 
 bool ShardedEngine::DeleteImpl(uint64_t id) {

@@ -45,8 +45,17 @@ QueryResult MergeShardResults(AggFunc func,
 /// engine is only ever touched by its own maintenance thread (writes) or
 /// under the shard's reader lock (queries).
 ///
+/// InsertBatch() costs per shard, not per row: it groups the rows by shard,
+/// keeping their order, and hands each shard its group with one count
+/// update and one queue push (one lock and one wake-up per chunk that fits
+/// the queue). Each shard receives the row sequence that a loop of Insert()
+/// calls would give it.
+///
 /// Thread-safety contract (stronger than base AqpEngine):
-///  - Insert()/Delete() may be called from any number of threads.
+///  - Insert()/InsertBatch()/Delete() may be called from any number of
+///    threads. Rows of one InsertBatch() call that hash to the same shard
+///    reach it in batch order, and other producers' rows may land between
+///    its shards' groups, as between Insert() calls.
 ///  - Query()/QueryBatch()/Stats() may run concurrently with updates: each
 ///    shard's read first waits at the shard's quiesce point (every update
 ///    enqueued before the call is applied), then runs under the shard's
@@ -94,6 +103,7 @@ class ShardedEngine : public AqpEngine {
   void LoadInitialImpl(const std::vector<Tuple>& rows) override;
   void InitializeImpl() override;
   void InsertImpl(const Tuple& t) override;
+  void InsertBatchImpl(std::span<const Tuple> rows) override;
   bool DeleteImpl(uint64_t id) override;
   QueryResult QueryImpl(const AggQuery& q) const override;
   std::vector<QueryResult> QueryBatchImpl(const std::vector<AggQuery>& queries,

@@ -126,8 +126,7 @@ uint64_t AqpClient::Insert(const std::vector<Tuple>& rows) {
 
 uint64_t AqpClient::Delete(const std::vector<uint64_t>& ids) {
   persist::Writer w;
-  w.Size(ids.size());
-  for (uint64_t id : ids) w.U64(id);
+  w.U64Vec(ids);
   const std::vector<uint8_t> reply =
       RoundTripOrThrow(MsgType::kDelete, w.buffer());
   return DecodePayload(reply, [](persist::Reader* r) { return r->U64(); });

@@ -347,7 +347,7 @@ std::vector<uint8_t> AqpServer::HandleRequest(
         // applies the rows to the engine in arrival order.
         broker_->insert_topic()->AppendBatch(rows);
       } else {
-        for (const Tuple& t : rows) engine_->Insert(t);
+        engine_->InsertBatch(rows);
       }
       {
         MutexLock lock(&stats_mu_);
@@ -358,9 +358,7 @@ std::vector<uint8_t> AqpServer::HandleRequest(
     }
 
     case MsgType::kDelete: {
-      const size_t count = r.Size();
-      std::vector<uint64_t> ids(count);
-      for (uint64_t& id : ids) id = r.U64();
+      const std::vector<uint64_t> ids = r.U64Vec();
       uint64_t applied = 0;
       if (broker_ != nullptr) {
         std::vector<Tuple> markers(ids.size());

@@ -1,6 +1,8 @@
 #include "net/wire.h"
 
+#include <bit>
 #include <cstring>
+#include <type_traits>
 
 #include "net/socket.h"
 
@@ -33,7 +35,7 @@ std::vector<uint8_t> EncodeFrame(uint8_t type, uint64_t tenant_id,
   w.U32(static_cast<uint32_t>(payload.size()));
   w.U64(tenant_id);
   w.U64(request_id);
-  w.U64(persist::Fnv1a(payload.data(), payload.size()));
+  w.U64(persist::Xxh64(payload.data(), payload.size()));
   std::vector<uint8_t> frame = w.buffer();
   frame.insert(frame.end(), payload.begin(), payload.end());
   return frame;
@@ -84,7 +86,7 @@ void VerifyPayload(const FrameHeader& h, const std::vector<uint8_t>& payload) {
                    " bytes but the header declared " +
                    std::to_string(h.payload_len));
   }
-  if (persist::Fnv1a(payload.data(), payload.size()) != h.checksum) {
+  if (persist::Xxh64(payload.data(), payload.size()) != h.checksum) {
     ThrowMalformed("frame payload checksum mismatch");
   }
 }
@@ -179,18 +181,6 @@ QueryResult ReadQueryResult(persist::Reader* r) {
   res.error_code = r->U32();
   res.error_detail = r->Str();
   return res;
-}
-
-void WriteTuple(const Tuple& t, persist::Writer* w) {
-  w->U64(t.id);
-  for (int c = 0; c < kMaxColumns; ++c) w->F64(t[c]);
-}
-
-Tuple ReadTuple(persist::Reader* r) {
-  Tuple t;
-  t.id = r->U64();
-  for (int c = 0; c < kMaxColumns; ++c) t[c] = r->F64();
-  return t;
 }
 
 void WriteApiError(const ApiError& e, persist::Writer* w) {
@@ -313,7 +303,8 @@ void WriteQueryVec(const std::vector<AggQuery>& qs, persist::Writer* w) {
 }
 
 std::vector<AggQuery> ReadQueryVec(persist::Reader* r) {
-  std::vector<AggQuery> qs(r->Size());
+  // Smallest query: func, agg column, empty column list, zero dims.
+  std::vector<AggQuery> qs(r->Count(1 + 4 + 8 + 4));
   for (AggQuery& q : qs) q = ReadAggQuery(r);
   return qs;
 }
@@ -324,19 +315,31 @@ void WriteResultVec(const std::vector<QueryResult>& rs, persist::Writer* w) {
 }
 
 std::vector<QueryResult> ReadResultVec(persist::Reader* r) {
-  std::vector<QueryResult> rs(r->Size());
+  // Smallest result: four doubles, two counters, two flags, a code and an
+  // empty detail string.
+  std::vector<QueryResult> rs(r->Count(4 * 8 + 2 * 8 + 2 + 4 + 8));
   for (QueryResult& res : rs) res = ReadQueryResult(r);
   return rs;
 }
 
+// A tuple crosses the wire as its id and then its kMaxColumns values, each
+// a little-endian 8-byte word with the doubles' IEEE-754 bits: exactly the
+// in-memory layout of Tuple on a little-endian host, so a vector of them is
+// copied as one byte run.
+static_assert(std::is_trivially_copyable_v<Tuple>);
+static_assert(sizeof(Tuple) == 8 * (1 + kMaxColumns),
+              "Tuple must be its id and values with no padding");
+static_assert(std::endian::native == std::endian::little,
+              "the wire format is little-endian");
+
 void WriteTupleVec(const std::vector<Tuple>& ts, persist::Writer* w) {
   w->Size(ts.size());
-  for (const Tuple& t : ts) WriteTuple(t, w);
+  w->Bytes(ts.data(), ts.size() * sizeof(Tuple));
 }
 
 std::vector<Tuple> ReadTupleVec(persist::Reader* r) {
-  std::vector<Tuple> ts(r->Size());
-  for (Tuple& t : ts) t = ReadTuple(r);
+  std::vector<Tuple> ts(r->Count(sizeof(Tuple)));
+  r->Bytes(ts.data(), ts.size() * sizeof(Tuple));
   return ts;
 }
 
@@ -349,7 +352,7 @@ void WriteConfigEcho(const ConfigKeyEcho& keys, persist::Writer* w) {
 }
 
 ConfigKeyEcho ReadConfigEcho(persist::Reader* r) {
-  ConfigKeyEcho keys(r->Size());
+  ConfigKeyEcho keys(r->Count(2 * 8));  // two length prefixes per key
   for (auto& [key, summary] : keys) {
     key = r->Str();
     summary = r->Str();

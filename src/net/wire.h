@@ -25,23 +25,29 @@ class Socket;
 ///   bytes  0-3   magic "JAQW" (u32)
 ///   byte   4     message type (MsgType; replies set kReplyBit)
 ///   byte   5     flags (reserved, must be 0)
-///   bytes  6-7   protocol version (u16, currently 1)
+///   bytes  6-7   protocol version (u16, currently 2)
 ///   bytes  8-11  payload byte count (u32, capped at kMaxPayloadBytes)
 ///   bytes 12-19  tenant id (u64) — admission control key
 ///   bytes 20-27  request id (u64) — echoed verbatim in the reply
-///   bytes 28-35  FNV-1a 64 checksum of the payload (u64)
+///   bytes 28-35  XXH64 (seed 0) checksum of the payload (u64)
+///
+/// A version-1 peer (FNV-1a checksums) gets the typed "unsupported wire
+/// version" error.
 ///
 /// Every header field is validated before a single payload byte is
 /// allocated or parsed: wrong magic, unknown version, non-zero flags and
 /// hostile payload lengths all fail with ApiException(kMalformedFrame),
 /// never a crash or an unbounded allocation. Payload decoding inherits the
 /// bounds-checked Reader, so truncated or bit-flipped bodies surface as
-/// typed errors too.
+/// typed errors too, and every element count is checked against the bytes
+/// left before its vector is allocated (persist::Reader::Count).
 inline constexpr uint32_t kWireMagic = 0x5751414Au;  // "JAQW"
-inline constexpr uint16_t kWireVersion = 1;
+inline constexpr uint16_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 36;
-/// Hard cap on a single frame payload; a hostile length prefix can make the
+/// Hard cap on a single frame payload: a hostile length prefix makes the
 /// server allocate at most this much before the checksum check fails it.
+/// A hostile element count inside the payload allocates nothing, because no
+/// decoder sizes a vector for more elements than the bytes left can hold.
 inline constexpr uint32_t kMaxPayloadBytes = 16u << 20;
 
 /// Request message types. A reply carries the request's type with
@@ -134,9 +140,6 @@ AggQuery ReadAggQuery(persist::Reader* r);
 void WriteQueryResult(const QueryResult& res, persist::Writer* w);
 QueryResult ReadQueryResult(persist::Reader* r);
 
-void WriteTuple(const Tuple& t, persist::Writer* w);
-Tuple ReadTuple(persist::Reader* r);
-
 void WriteApiError(const ApiError& e, persist::Writer* w);
 ApiError ReadApiError(persist::Reader* r);
 
@@ -155,6 +158,8 @@ std::vector<AggQuery> ReadQueryVec(persist::Reader* r);
 void WriteResultVec(const std::vector<QueryResult>& rs, persist::Writer* w);
 std::vector<QueryResult> ReadResultVec(persist::Reader* r);
 
+/// kInsert's payload: a count, then each tuple's id and kMaxColumns values
+/// as 8-byte words, copied as one byte run.
 void WriteTupleVec(const std::vector<Tuple>& ts, persist::Writer* w);
 std::vector<Tuple> ReadTupleVec(persist::Reader* r);
 

@@ -34,7 +34,7 @@ inline void SaveTupleVec(const std::vector<Tuple>& v, Writer* w) {
 }
 
 inline std::vector<Tuple> LoadTupleVec(Reader* r) {
-  std::vector<Tuple> v(r->Size());
+  std::vector<Tuple> v(r->Count(8 * (1 + kMaxColumns)));
   for (Tuple& t : v) t = LoadTuple(r);
   return v;
 }

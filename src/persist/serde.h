@@ -90,6 +90,7 @@ class Reader {
                          " bytes at offset " + std::to_string(pos_) +
                          ", only " + std::to_string(size_ - pos_) + " left");
     }
+    if (n == 0) return;  // memcpy wants valid pointers even for no bytes
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
   }
@@ -119,7 +120,7 @@ class Reader {
     return v;
   }
   /// size_t with a sanity bound against hostile/corrupt length prefixes:
-  /// a length can never exceed the bytes remaining in the payload.
+  /// a length can never exceed the payload size.
   size_t Size() {
     const uint64_t v = U64();
     if (v > size_) {
@@ -128,30 +129,43 @@ class Reader {
     }
     return static_cast<size_t>(v);
   }
+  /// An element count whose elements each take at least `min_bytes`
+  /// encoded bytes: it cannot exceed remaining() / min_bytes, so a decoder
+  /// that sizes its output from it never allocates for elements the payload
+  /// cannot hold.
+  size_t Count(size_t min_bytes) {
+    const uint64_t v = U64();
+    if (v > remaining() / min_bytes) {
+      throw PersistError("snapshot corrupt: count " + std::to_string(v) +
+                         " exceeds the " + std::to_string(remaining()) +
+                         " bytes left");
+    }
+    return static_cast<size_t>(v);
+  }
   std::string Str() {
-    const size_t n = Size();
+    const size_t n = Count(1);
     std::string s(n, '\0');
     Bytes(s.data(), n);
     return s;
   }
 
   std::vector<double> F64Vec() {
-    std::vector<double> v(Size());
+    std::vector<double> v(Count(8));
     for (double& x : v) x = F64();
     return v;
   }
   std::vector<uint64_t> U64Vec() {
-    std::vector<uint64_t> v(Size());
+    std::vector<uint64_t> v(Count(8));
     for (uint64_t& x : v) x = U64();
     return v;
   }
   std::vector<int> IntVec() {
-    std::vector<int> v(Size());
+    std::vector<int> v(Count(4));
     for (int& x : v) x = I32();
     return v;
   }
   std::vector<std::string> StrVec() {
-    std::vector<std::string> v(Size());
+    std::vector<std::string> v(Count(8));  // each string's length prefix
     for (std::string& s : v) s = Str();
     return v;
   }
@@ -168,6 +182,11 @@ class Reader {
 
 /// FNV-1a 64-bit, the payload checksum of the snapshot format.
 uint64_t Fnv1a(const uint8_t* data, size_t n);
+
+/// XXH64 with seed 0, the payload checksum of the serving tier's frames.
+/// Portable C++ over little-endian words: four independent 8-byte lanes
+/// per step, where FNV-1a chains one multiply per byte.
+uint64_t Xxh64(const uint8_t* data, size_t n);
 
 }  // namespace persist
 }  // namespace janus

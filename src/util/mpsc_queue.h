@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <deque>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -14,15 +15,16 @@ namespace janus {
 
 /// Bounded multi-producer queue feeding one consumer thread: the update
 /// channel between client threads and a shard's maintenance thread in the
-/// sharded engine. Push() applies backpressure (blocks while the queue is
-/// full), so a burst of producers can never outrun a shard's apply rate by
-/// more than the queue capacity. The consumer drains in batches to amortize
-/// wakeups and lock acquisitions.
+/// sharded engine. PushBatch() applies backpressure (blocks while the queue
+/// is full), so a burst of producers can never outrun a shard's apply rate
+/// by more than the queue capacity. Both sides move items in batches to
+/// amortize wakeups and lock acquisitions.
 ///
 /// Mutex-based rather than lock-free on purpose: the consumer's per-item
 /// work (synopsis maintenance) dwarfs queue overhead, and a mutex keeps the
 /// queue trivially ThreadSanitizer-clean. Any thread may call Close(); after
-/// it, Push() rejects and PopBatch() drains the remainder then returns 0.
+/// it, PushBatch() rejects and PopBatch() drains the remainder then returns
+/// 0.
 template <typename T>
 class BoundedMpscQueue {
  public:
@@ -32,17 +34,27 @@ class BoundedMpscQueue {
   BoundedMpscQueue(const BoundedMpscQueue&) = delete;
   BoundedMpscQueue& operator=(const BoundedMpscQueue&) = delete;
 
-  /// Enqueue one item, blocking while the queue is at capacity. Returns
-  /// false (and drops the item) once the queue is closed.
-  bool Push(T item) {
-    {
-      MutexLock lock(&mu_);
-      while (!closed_ && items_.size() >= capacity_) cv_not_full_.Wait(&mu_);
-      if (closed_) return false;
-      items_.push_back(std::move(item));
+  /// Enqueue `items` in order: one lock hold and one notify per chunk that
+  /// fits, blocking while the queue is at capacity. Other producers' items
+  /// may land between two chunks. Returns how many items were enqueued:
+  /// all of them, or, once the queue is closed, the leading ones pushed
+  /// before it was (the rest are dropped).
+  size_t PushBatch(std::span<const T> items) {
+    size_t pushed = 0;
+    while (pushed < items.size()) {
+      {
+        MutexLock lock(&mu_);
+        while (!closed_ && items_.size() >= capacity_) cv_not_full_.Wait(&mu_);
+        if (closed_) return pushed;
+        const size_t k =
+            std::min(items.size() - pushed, capacity_ - items_.size());
+        const std::span<const T> chunk = items.subspan(pushed, k);
+        items_.insert(items_.end(), chunk.begin(), chunk.end());
+        pushed += k;
+      }
+      cv_not_empty_.NotifyOne();
     }
-    cv_not_empty_.NotifyOne();
-    return true;
+    return pushed;
   }
 
   /// Append up to `max_items` items to `*out`. Blocks while the queue is

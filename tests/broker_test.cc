@@ -1,9 +1,19 @@
 #include "stream/broker.h"
 
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "api/config.h"
+#include "api/registry.h"
+#include "data/generators.h"
+#include "net/client.h"
+#include "net/server.h"
+#include "util/rng.h"
 
 namespace janus {
 namespace {
@@ -125,6 +135,78 @@ TEST(QueryTopicTest, AppendAndPollQueries) {
   out.clear();
   EXPECT_EQ(topic.Poll(15, 50, &out), 5u);  // truncated at end
   EXPECT_EQ(topic.Poll(20, 5, &out), 0u);   // drained
+}
+
+TEST(StreamedIngestTest, BrokerPumpMatchesSynchronousInsertFrames) {
+  // The same 256-row insert frames go to a broker-mode server, whose
+  // EngineDriver pump applies each polled run with InsertBatch, and to a
+  // synchronous server, which applies each frame with InsertBatch. Both
+  // serve sharded:janus with 4 shards; once Stop() has drained the pump,
+  // both engines answer a fixed probe set bit-identically.
+  const GeneratedDataset ds = GenerateUniform(6000, 1, 41);
+  EngineConfig cfg;
+  cfg.engine = "sharded:janus";
+  cfg.agg_column = 1;
+  cfg.predicate_columns = {0};
+  cfg.num_leaves = 16;
+  cfg.num_shards = 4;
+  cfg.seed = 43;
+  Rng rng(47);
+  std::vector<std::vector<Tuple>> frames(12);
+  uint64_t id = 1000000;
+  for (std::vector<Tuple>& frame : frames) {
+    for (int i = 0; i < 256; ++i) {
+      Tuple t;
+      t.id = id++;
+      t[0] = rng.Uniform(0, 1);
+      t[1] = rng.Normal(12, 3);
+      frame.push_back(t);
+    }
+  }
+  const auto ingest = [&](Broker* broker) {
+    std::unique_ptr<AqpEngine> engine = EngineRegistry::Create(cfg);
+    engine->LoadInitial(ds.rows);
+    engine->Initialize();
+    net::AqpServer server(engine.get(), net::ServerOptions{}, broker);
+    server.Start();
+    {
+      net::AqpClient client("127.0.0.1", server.port());
+      for (const std::vector<Tuple>& frame : frames) {
+        EXPECT_EQ(client.Insert(frame), frame.size());
+      }
+    }
+    server.Stop();  // a broker-mode server drains its pump first
+    return engine;
+  };
+  Broker broker;
+  const std::unique_ptr<AqpEngine> streamed = ingest(&broker);
+  const std::unique_ptr<AqpEngine> synchronous = ingest(nullptr);
+  EXPECT_EQ(streamed->Stats().rows, ds.rows.size() + 12 * 256);
+  EXPECT_EQ(synchronous->Stats().rows, ds.rows.size() + 12 * 256);
+
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  for (int k = 0; k < 8; ++k) {
+    const double lo = k / 10.0;
+    for (AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg,
+                      AggFunc::kMin, AggFunc::kMax}) {
+      AggQuery q;
+      q.func = f;
+      q.agg_column = 1;
+      q.predicate_columns = {0};
+      q.rect = Rectangle({lo}, {lo + 0.05 + k * 0.04});
+      const QueryResult a = streamed->Query(q);
+      const QueryResult b = synchronous->Query(q);
+      ASSERT_TRUE(a.ok);
+      ASSERT_TRUE(b.ok);
+      EXPECT_EQ(bits(a.estimate), bits(b.estimate)) << k;
+      EXPECT_EQ(bits(a.ci_half_width), bits(b.ci_half_width)) << k;
+      EXPECT_EQ(bits(a.variance_catchup), bits(b.variance_catchup)) << k;
+      EXPECT_EQ(bits(a.variance_sample), bits(b.variance_sample)) << k;
+      EXPECT_EQ(a.covered_nodes, b.covered_nodes) << k;
+      EXPECT_EQ(a.partial_leaves, b.partial_leaves) << k;
+      EXPECT_EQ(a.exact, b.exact) << k;
+    }
+  }
 }
 
 }  // namespace

@@ -8,8 +8,15 @@
 // crash or an unbounded allocation. Counters ride as plain u64, so a
 // QueryResult whose covered_nodes exceeds the byte length of the frame
 // carrying it (real sharded-merge outputs do) must still round-trip.
+// Tuples cross as one byte run whose bytes a recorded digest pins, frames
+// carry XXH64 checksums, and a hostile element count fails before its
+// vector is allocated.
 
+#include <sys/resource.h>
+
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -19,6 +26,7 @@
 #include "api/error.h"
 #include "net/wire.h"
 #include "persist/serde.h"
+#include "tests/test_digest.h"
 
 namespace janus {
 namespace net {
@@ -145,6 +153,42 @@ TEST(NetWireTest, VectorPayloadsRoundTrip) {
   EXPECT_EQ(tout[1][1], -3.5);
 }
 
+TEST(NetWireTest, TupleVecBytesMatchRecordedDigest) {
+  // Every special double, in every column position, crosses bit for bit:
+  // the bytes hash to a digest recorded from the per-field codec.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> specials = {nan, -nan, -0.0, 0.0, inf, -inf};
+  specials.push_back(std::numeric_limits<double>::denorm_min());
+  specials.push_back(std::numeric_limits<double>::max());
+  specials.push_back(-1.5);
+  specials.push_back(1e-300);
+  std::vector<Tuple> ts(13);
+  for (size_t i = 0; i < ts.size(); ++i) {
+    ts[i].id = 0x0123456789ABCDEFull * (i + 1);
+    for (int c = 0; c < kMaxColumns; ++c) {
+      ts[i][c] = specials[(i + static_cast<size_t>(c)) % specials.size()];
+    }
+  }
+  persist::Writer w;
+  WriteTupleVec(ts, &w);
+  EXPECT_EQ(w.buffer().size(), 8 + ts.size() * 8 * (1 + kMaxColumns));
+  EXPECT_EQ(DigestHex(w), "0x8e2ee219ceeff49f");
+
+  persist::Reader r(w.buffer());
+  const std::vector<Tuple> out = ReadTupleVec(&r);
+  EXPECT_TRUE(r.AtEnd());
+  ASSERT_EQ(out.size(), ts.size());
+  for (size_t i = 0; i < ts.size(); ++i) {
+    EXPECT_EQ(out[i].id, ts[i].id);
+    for (int c = 0; c < kMaxColumns; ++c) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(out[i][c]),
+                std::bit_cast<uint64_t>(ts[i][c]))
+          << "tuple " << i << " column " << c;
+    }
+  }
+}
+
 TEST(NetWireTest, ApiErrorAndConfigEchoRoundTrip) {
   const ApiError err{ApiErrorCode::kUnknownConfigKey, "no such key 'shrads'"};
   const ApiError eout = RoundTrip(err, WriteApiError, ReadApiError);
@@ -211,6 +255,7 @@ TEST(NetWireTest, EncodeDecodeHeaderRoundTrips) {
 
   const std::vector<uint8_t> payload(frame.begin() + kFrameHeaderBytes,
                                      frame.end());
+  EXPECT_EQ(h.checksum, persist::Xxh64(payload.data(), payload.size()));
   EXPECT_NO_THROW(VerifyPayload(h, payload));
 }
 
@@ -221,9 +266,12 @@ TEST(NetWireTest, BadMagicIsTyped) {
 }
 
 TEST(NetWireTest, UnknownVersionIsTyped) {
-  std::vector<uint8_t> frame = ValidFrame();
-  frame[6] = 0x7F;  // version low byte
-  EXPECT_EQ(DecodeError(frame), ApiErrorCode::kMalformedFrame);
+  // Version 1, whose frames carried FNV-1a checksums, included.
+  for (const uint8_t version : {uint8_t{1}, uint8_t{0x7F}}) {
+    std::vector<uint8_t> frame = ValidFrame();
+    frame[6] = version;  // version low byte
+    EXPECT_EQ(DecodeError(frame), ApiErrorCode::kMalformedFrame) << +version;
+  }
 }
 
 TEST(NetWireTest, ReservedFlagsMustBeZero) {
@@ -265,6 +313,59 @@ TEST(NetWireTest, FlippedPayloadBitFailsTheChecksum) {
   } catch (const ApiException& e) {
     EXPECT_EQ(e.code(), ApiErrorCode::kMalformedFrame);
   }
+}
+
+TEST(NetWireTest, Xxh64KnownAnswers) {
+  // Seed 0, as the reference implementation (libxxhash 0.8) computes them.
+  const auto hash = [](const std::string& s) {
+    return persist::Xxh64(reinterpret_cast<const uint8_t*>(s.data()),
+                          s.size());
+  };
+  EXPECT_EQ(hash(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(hash("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(hash("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(hash("JanusAQP"), 0xf2e02b182087ced5ull);
+  std::vector<uint8_t> counting(100);
+  for (size_t i = 0; i < counting.size(); ++i) {
+    counting[i] = static_cast<uint8_t>(i);
+  }
+  EXPECT_EQ(persist::Xxh64(counting.data(), 32), 0xcbf59c5116ff32b4ull);
+  EXPECT_EQ(persist::Xxh64(counting.data(), 100), 0x6ac1e58032166597ull);
+  // The size of a 256-row insert frame's payload.
+  std::vector<uint8_t> frame(18440);
+  for (size_t i = 0; i < frame.size(); ++i) {
+    frame[i] = static_cast<uint8_t>((i * 131 + 7) & 255);
+  }
+  EXPECT_EQ(persist::Xxh64(frame.data(), frame.size()),
+            0x7a3a32800bb3e73bull);
+}
+
+long PeakRssKb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;  // kilobytes on Linux
+}
+
+TEST(NetWireTest, HostileElementCountsAllocateNothing) {
+  // A payload of the largest frame size whose count claims 2^24 elements
+  // over a zero body. Each element takes at least 8 bytes, so the bytes
+  // left cannot hold them: every decoder must throw a typed error before
+  // it sizes a vector (2^24 tuples would be 1.2 GB).
+  std::vector<uint8_t> payload(kMaxPayloadBytes, 0);
+  const uint64_t hostile = uint64_t{1} << 24;
+  std::memcpy(payload.data(), &hostile, sizeof(hostile));
+  const long before_kb = PeakRssKb();
+
+  persist::Reader tuples(payload);
+  EXPECT_THROW((void)ReadTupleVec(&tuples), persist::PersistError);
+  persist::Reader queries(payload);
+  EXPECT_THROW((void)ReadQueryVec(&queries), persist::PersistError);
+  // kDelete's body: a count, then that many u64 ids.
+  persist::Reader ids(payload);
+  EXPECT_THROW((void)ids.U64Vec(), persist::PersistError);
+
+  const long grown_kb = PeakRssKb() - before_kb;
+  EXPECT_LT(grown_kb, 64 * 1024) << "peak RSS grew by " << grown_kb << " KB";
 }
 
 TEST(NetWireTest, TruncatedPayloadBodyThrowsAtEveryCut) {

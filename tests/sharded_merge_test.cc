@@ -2,8 +2,9 @@
 // deterministic exact backend, the merged estimate/variance must equal the
 // hand-pooled per-shard estimators to 1e-9 for every aggregate type, and on
 // a real backend (janus) CI coverage over a large randomized workload must
-// stay within tolerance of the unsharded engine. A recorded digest pins every
-// bit of sharded:janus answers, single queries and batches alike.
+// stay within tolerance of the unsharded engine. Recorded digests pin every
+// bit of sharded:janus answers, single queries and batches alike, and the
+// answers after batched inserts.
 
 #include <algorithm>
 #include <cmath>
@@ -407,6 +408,18 @@ TEST(ShardedMergeTest, CiCoverageTracksUnshardedEngine) {
       << "sharded=" << cov_sharded << " plain=" << cov_plain;
 }
 
+/// Every field of `r` that a digest pins.
+void RecordAnswer(const QueryResult& r, persist::Writer* w) {
+  w->Bool(r.ok);
+  w->F64(r.estimate);
+  w->F64(r.ci_half_width);
+  w->F64(r.variance_catchup);
+  w->F64(r.variance_sample);
+  w->U64(r.covered_nodes);
+  w->U64(r.partial_leaves);
+  w->Bool(r.exact);
+}
+
 TEST(ShardedMergeTest, ShardedJanusAnswersMatchRecordedDigest) {
   // Four janus shards over a sliding window (inserts at the head, deletes
   // at the tail, so the triggers fire), queried between the slides through
@@ -438,14 +451,7 @@ TEST(ShardedMergeTest, ShardedJanusAnswersMatchRecordedDigest) {
 
   persist::Writer answers;
   const auto record = [&answers](const QueryResult& r) {
-    answers.Bool(r.ok);
-    answers.F64(r.estimate);
-    answers.F64(r.ci_half_width);
-    answers.F64(r.variance_catchup);
-    answers.F64(r.variance_sample);
-    answers.U64(r.covered_nodes);
-    answers.U64(r.partial_leaves);
-    answers.Bool(r.exact);
+    RecordAnswer(r, &answers);
   };
   uint64_t oldest = 0;
   for (int round = 0; round < 5; ++round) {
@@ -474,6 +480,66 @@ TEST(ShardedMergeTest, ShardedJanusAnswersMatchRecordedDigest) {
   answers.U64(stats.trigger_fires);
   answers.U64(stats.repartitions);
   EXPECT_EQ(DigestHex(answers), "0x3cc62cb544d8fe23");
+}
+
+TEST(ShardedMergeTest, InsertBatchFramesMatchRecordedDigest) {
+  // Four janus shards take 256-row InsertBatch frames at the head of a
+  // sliding window, with the tail's deletes between frames, so the triggers
+  // fire. Every field of every answer (all five aggregates) hashes to a
+  // digest recorded with one Insert call per row: a batch hands each shard
+  // the row sequence that per-row inserts give it.
+  constexpr uint64_t kRows = 8000;
+  constexpr size_t kFrameRows = 256;
+  Rng rng(71);
+  const auto window_row = [&rng](uint64_t id) {
+    Tuple t;
+    t.id = id;
+    t[0] = static_cast<double>(id) / kRows;
+    t[1] = rng.Normal(10, 3);
+    return t;
+  };
+  std::vector<Tuple> rows;
+  rows.reserve(kRows);
+  for (uint64_t id = 0; id < kRows; ++id) rows.push_back(window_row(id));
+  EngineConfig cfg;
+  cfg.agg_column = 1;
+  cfg.predicate_columns = {0};
+  cfg.num_leaves = 16;
+  cfg.num_shards = 4;
+  cfg.seed = 23;
+  auto engine = EngineRegistry::Create("sharded:janus", cfg);
+  engine->LoadInitial(rows);
+  engine->Initialize();
+  engine->RunCatchupToGoal();
+
+  persist::Writer answers;
+  uint64_t oldest = 0;
+  uint64_t head = kRows;
+  std::vector<Tuple> frame;
+  for (int round = 0; round < 32; ++round) {
+    frame.clear();
+    for (size_t i = 0; i < kFrameRows; ++i) frame.push_back(window_row(head++));
+    engine->InsertBatch(frame);
+    for (size_t i = 0; i < kFrameRows / 2; ++i) {
+      ASSERT_TRUE(engine->Delete(oldest++));
+    }
+    if (round % 4 != 3) continue;
+    for (int k = 0; k < 3; ++k) {
+      const double lo = (oldest + rng.Uniform(0, 0.8) * kRows) / kRows;
+      const double hi = lo + rng.Uniform(0.01, 0.2);
+      for (AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg,
+                        AggFunc::kMin, AggFunc::kMax}) {
+        RecordAnswer(engine->Query(MakeQuery(f, lo, hi)), &answers);
+      }
+    }
+  }
+  const EngineStats stats = engine->Stats();
+  EXPECT_EQ(stats.rows, kRows + 32 * kFrameRows / 2);
+  EXPECT_GT(stats.repartitions, 0u);
+  answers.U64(stats.trigger_checks);
+  answers.U64(stats.trigger_fires);
+  answers.U64(stats.repartitions);
+  EXPECT_EQ(DigestHex(answers), "0x93c5cdca2f7460c7");
 }
 
 }  // namespace
