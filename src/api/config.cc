@@ -164,19 +164,6 @@ bool ArgMap::TryGetSize(const std::string& key, size_t* out) const {
   return true;
 }
 
-bool ArgMap::TryGetInt(const std::string& key, int* out) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return true;
-  long long v = 0;
-  if (!ParseSignedStrict(it->second, &v) ||
-      v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
-
 bool ArgMap::TryGetDouble(const std::string& key, double* out) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return true;

@@ -49,7 +49,6 @@ class ArgMap {
   // *out untouched and return true; present-but-malformed values return
   // false (same strict full-token parse as the Get* family, no warning).
   bool TryGetSize(const std::string& key, size_t* out) const;
-  bool TryGetInt(const std::string& key, int* out) const;
   bool TryGetDouble(const std::string& key, double* out) const;
   bool TryGetBool(const std::string& key, bool* out) const;
 
@@ -99,7 +98,7 @@ struct EngineConfig {
   AggFunc focus = AggFunc::kSum;
   PartitionAlgorithm algorithm = PartitionAlgorithm::kBinarySearch;
 
-  // --- re-partitioning triggers (janus) ------------------------------------
+  // --- re-partitioning triggers (janus; multi runs none) -------------------
   bool enable_triggers = true;
   double beta = 10.0;
   uint64_t trigger_check_interval = 64;

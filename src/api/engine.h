@@ -25,7 +25,9 @@ struct EngineStats {
   std::string engine;      ///< registry name of the backend
   size_t rows = 0;         ///< live tuples in the archive
   size_t sample_size = 0;  ///< synopsis sample footprint (tuples)
-  int num_templates = 0;   ///< registered query templates (multi)
+  /// JanusAQP's query templates: 1 for janus, every one seen so far for
+  /// multi; 0 for the other engines.
+  int num_templates = 0;
 
   uint64_t inserts = 0;
   uint64_t deletes = 0;
@@ -78,8 +80,9 @@ struct EngineStats {
 /// The one dynamic-AQP engine interface (the paper's data/query API of
 /// Sec. 3.2): bulk load, build, a stream of inserts and deletes, approximate
 /// aggregate queries with confidence intervals, and explicit control over
-/// catch-up and re-optimization. Every synopsis backend — JanusAQP, the
-/// multi-template manager, the RS/SRS/SPN baselines and the static SPT —
+/// catch-up and re-optimization. Every synopsis backend — JanusAQP (janus,
+/// and multi with one tree per query template), the RS/SRS/SPN baselines
+/// and the static SPT —
 /// implements it, so benches, examples and the streaming driver are written
 /// once against this class and run against any registered engine.
 ///
@@ -90,8 +93,8 @@ struct EngineStats {
 ///  - Insert()/InsertBatch()/Delete()/StepCatchup()/RunCatchupToGoal() are
 ///    *updaters*: they exclude readers but run concurrently with each other
 ///    when the backend's maintenance path is thread-safe
-///    (update_concurrency() kConcurrent — janus); otherwise the base class
-///    serializes them too.
+///    (update_concurrency() kConcurrent — janus, multi); otherwise the base
+///    class serializes them too.
 ///  - LoadInitial()/Initialize()/Reinitialize()/Load() are *exclusive*.
 /// The two rooms alternate under contention (util/room_lock.h), so a steady
 /// update stream cannot starve queries or vice versa. The "sharded:<inner>"

@@ -17,13 +17,11 @@
 #include "baselines/spn.h"
 #include "baselines/srs.h"
 #include "core/janus.h"
-#include "core/multi.h"
 #include "core/spt.h"
 #include "persist/serde.h"
 #include "util/invariants.h"
 #include "util/mutex.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace janus {
 
@@ -147,17 +145,21 @@ void RequirePartitionable(PartitionAlgorithm algorithm,
                          std::to_string(predicate_columns.size()));
 }
 
-/// "janus": the full JanusAQP system of Sec. 4/5.
+/// "janus" and "multi": the full JanusAQP system of Sec. 4/5. "janus"
+/// answers every query from the configured template. "multi" (Sec. 5.5)
+/// routes each query to the template with its predicate columns and builds a
+/// tree on demand for a template it has not seen; it has no triggers.
 class JanusEngine : public AqpEngine {
  public:
-  explicit JanusEngine(const EngineConfig& c)
-      : impl_(MakeJanusOptions(c, &scan_counters_)) {
+  JanusEngine(const EngineConfig& c, bool discover_templates)
+      : impl_(MakeJanusOptions(c, &scan_counters_)),
+        discover_templates_(discover_templates) {
     RequirePartitionable(c.algorithm, c.predicate_columns);
     if (RunsMaintenanceThread(c)) {
-      // A trigger fire records a request and kicks the maintenance thread;
-      // the thread drains requests through the three-stage pipeline, taking
-      // rooms exactly like an external caller (so the exclusive fence is
-      // only the pointer-swap adoption step).
+      // A trigger fire (or a multi Reinitialize) records a request and kicks
+      // the maintenance thread; the thread drains requests through the
+      // three-stage pipeline, taking rooms exactly like an external caller
+      // (so the exclusive fence is only the pointer-swap adoption step).
       impl_.SetReoptNotify([this] { maint_->Kick(); });
       maint_ = std::make_unique<MaintenanceThread>(
           [this] { return RunBackgroundReopt(); });
@@ -165,30 +167,69 @@ class JanusEngine : public AqpEngine {
   }
   ~JanusEngine() override { maint_.reset(); }
 
-  const char* name() const override { return "janus"; }
+  const char* name() const override {
+    return discover_templates_ ? "multi" : "janus";
+  }
   void LoadInitialImpl(const std::vector<Tuple>& rows) override {
     impl_.LoadInitial(rows);
   }
-  void InitializeImpl() override {
-    impl_.Initialize();
-    initialized_ = true;
-  }
+  void InitializeImpl() override { impl_.Initialize(); }
   void InsertImpl(const Tuple& t) override { impl_.Insert(t); }
   bool DeleteImpl(uint64_t id) override { return impl_.Delete(id); }
   QueryResult QueryImpl(const AggQuery& q) const override {
-    return impl_.Query(q);
+    if (!discover_templates_) return impl_.Query(q);
+    // Template discovery mutates the template list; the engine stays
+    // logically const (a cache fill), hence the mutable member. Concurrent
+    // readers are allowed by the AqpEngine contract, so discovery takes the
+    // write lock while established-template lookups share a read lock.
+    {
+      ReaderMutexLock lock(&template_mu_);
+      const int idx = impl_.TemplateFor(q.predicate_columns);
+      if (idx >= 0) return impl_.dpt(idx).Query(q);
+    }
+    WriterMutexLock lock(&template_mu_);
+    return impl_.dpt(DiscoverTemplate(q)).Query(q);
+  }
+  std::vector<QueryResult> QueryBatchImpl(
+      const std::vector<AggQuery>& queries,
+      ThreadPool* pool) const override {
+    // Materialize any missing templates serially first so the fan-out only
+    // performs read-only tree lookups.
+    if (discover_templates_) {
+      WriterMutexLock lock(&template_mu_);
+      for (const AggQuery& q : queries) DiscoverTemplate(q);
+    }
+    return AqpEngine::QueryBatchImpl(queries, pool);
   }
   void RunCatchupToGoalImpl() override { impl_.RunCatchupToGoal(); }
   size_t StepCatchupImpl(size_t batch) override {
     return impl_.StepCatchup(batch);
   }
-  void ReinitializeImpl() override { impl_.Reinitialize(); }
+  /// janus re-optimizes synchronously, with a pool redraw. multi rebuilds
+  /// every template's tree through the pipeline: blocking mode runs the
+  /// stages back to back under the exclusive room the base class already
+  /// holds; background mode records the request and kicks the maintenance
+  /// thread, so the call returns at once.
+  void ReinitializeImpl() override {
+    if (!discover_templates_) {
+      impl_.Reinitialize();
+    } else if (maint_) {
+      impl_.RequestReopt();
+      maint_->Kick();
+    } else {
+      impl_.Rebuild();
+    }
+  }
 
   EngineStats StatsImpl() const override {
+    // Shares template_mu_ with Query(): on-demand template discovery may
+    // reallocate the template list under a concurrent reader.
+    ReaderMutexLock lock(&template_mu_);
     EngineStats s;
     s.engine = name();
     s.rows = impl_.table().size();
-    s.sample_size = initialized_ ? impl_.dpt().sample_size() : 0;
+    s.sample_size = impl_.initialized() ? impl_.dpt().sample_size() : 0;
+    s.num_templates = static_cast<int>(impl_.num_templates());
     const JanusCounters& c = impl_.counters();
     s.inserts = c.inserts;
     s.deletes = c.deletes;
@@ -208,9 +249,11 @@ class JanusEngine : public AqpEngine {
     s.build_seconds = c.last_build_seconds;
     s.partition_seconds = c.last_partition_seconds;
     s.archive_bytes = impl_.table().MemoryBytes();
-    if (initialized_) {
-      s.synopsis_bytes = impl_.dpt().MemoryBytes() +
-                         ReservoirBytes(impl_.reservoir().size());
+    if (impl_.initialized()) {
+      s.synopsis_bytes = ReservoirBytes(impl_.reservoir().size());
+      for (size_t i = 0; i < impl_.num_templates(); ++i) {
+        s.synopsis_bytes += impl_.dpt(static_cast<int>(i)).MemoryBytes();
+      }
     }
     s.parallel_scans = scan_counters_.parallel_scans.load();
     s.serial_scans = scan_counters_.serial_scans.load();
@@ -220,19 +263,30 @@ class JanusEngine : public AqpEngine {
   }
   const DynamicTable* table() const override { return &impl_.table(); }
   const Dpt* synopsis() const override {
-    return initialized_ ? &impl_.dpt() : nullptr;
+    ReaderMutexLock lock(&template_mu_);
+    return impl_.initialized() ? &impl_.dpt() : nullptr;
   }
 
-  void SaveState(persist::Writer* w) const override { impl_.SaveTo(w); }
+  /// janus writes JanusAqp's one-template bytes; multi appends its other
+  /// templates.
+  void SaveState(persist::Writer* w) const override {
+    ReaderMutexLock lock(&template_mu_);
+    impl_.SaveTo(w);
+    if (discover_templates_) impl_.SaveTemplates(w);
+  }
   void LoadState(persist::Reader* r) override {
+    WriterMutexLock lock(&template_mu_);
     impl_.LoadFrom(r);
-    initialized_ = impl_.initialized();
+    if (discover_templates_) impl_.LoadTemplates(r);
   }
 
  protected:
   /// Replaces the base archive-only audit: JanusAqp audits the store plus
-  /// the reservoir/synopsis cross-structure invariants.
-  void CheckInvariantsImpl() const override { impl_.CheckInvariants(); }
+  /// the reservoir/synopsis cross-structure invariants of every template.
+  void CheckInvariantsImpl() const override {
+    ReaderMutexLock lock(&template_mu_);
+    impl_.CheckInvariants();
+  }
 
   /// JanusAQP's maintenance path is thread-safe (per-leaf statistic locks +
   /// an internal table/reservoir mutex), so updates run concurrently.
@@ -259,218 +313,27 @@ class JanusEngine : public AqpEngine {
     return true;
   }
 
-  scan::ScanCounters scan_counters_;
-  JanusAqp impl_;
-  bool initialized_ = false;
-  /// Declared last: its thread touches impl_ and rooms(), so it must die
-  /// first (the destructor also resets it explicitly for clarity).
-  std::unique_ptr<MaintenanceThread> maint_;
-};
-
-/// "multi": one pooled sample, one tree per query template (Sec. 5.5).
-class MultiEngine : public AqpEngine {
- public:
-  explicit MultiEngine(const EngineConfig& c)
-      : impl_(MakeJanusOptions(c, &scan_counters_)), inserts_(0), deletes_(0) {
-    RequirePartitionable(c.algorithm, c.predicate_columns);
-    SynopsisSpec spec;
-    spec.agg_column = c.agg_column;
-    spec.predicate_columns = c.predicate_columns;
-    impl_.AddTemplate(spec);
-    if (RunsMaintenanceThread(c)) {
-      maint_ = std::make_unique<MaintenanceThread>(
-          [this] { return RunBackgroundRebuild(); });
-    }
-  }
-  ~MultiEngine() override { maint_.reset(); }
-
-  const char* name() const override { return "multi"; }
-  void LoadInitialImpl(const std::vector<Tuple>& rows) override {
-    impl_.LoadInitial(rows);
-  }
-  void InitializeImpl() override {
-    impl_.Initialize();
-    initialized_ = true;
-  }
-  void InsertImpl(const Tuple& t) override {
-    impl_.Insert(t);
-    ++inserts_;
-  }
-  bool DeleteImpl(uint64_t id) override {
-    const bool ok = impl_.Delete(id);
-    if (ok) ++deletes_;
-    return ok;
-  }
-  QueryResult QueryImpl(const AggQuery& q) const override {
-    // Template discovery mutates the manager; the engine stays logically
-    // const (a cache fill), hence the mutable member. Concurrent readers
-    // are allowed by the AqpEngine contract, so discovery takes the write
-    // lock while established-template lookups share a read lock.
-    {
-      ReaderMutexLock lock(&template_mu_);
-      const int idx = impl_.TemplateFor(q.predicate_columns);
-      if (idx >= 0) return impl_.dpt(idx).Query(q);
-    }
-    WriterMutexLock lock(&template_mu_);
-    DiscoverTemplate(q);
-    return impl_.Query(q);
-  }
-  std::vector<QueryResult> QueryBatchImpl(
-      const std::vector<AggQuery>& queries,
-      ThreadPool* pool) const override {
-    // Materialize any missing templates serially first so the fan-out only
-    // performs read-only tree lookups.
-    {
-      WriterMutexLock lock(&template_mu_);
-      for (const AggQuery& q : queries) DiscoverTemplate(q);
-    }
-    return AqpEngine::QueryBatchImpl(queries, pool);
-  }
-  void RunCatchupToGoalImpl() override { impl_.RunCatchupToGoal(); }
-
-  /// Blocking mode runs the pipeline stages back to back under the
-  /// exclusive room the base class already holds. Background mode only
-  /// kicks the maintenance thread: the call returns immediately and the
-  /// per-template side trees are adopted when the pipeline finishes.
-  void ReinitializeImpl() override {
-    if (maint_) {
-      maint_->Kick();
-      return;
-    }
-    Timer total;
-    if (!impl_.Rebuild()) return;
-    ++repartitions_;
-    last_reopt_seconds_ = last_blocking_seconds_ = total.ElapsedSeconds();
-  }
-
-  EngineStats StatsImpl() const override {
-    // Shares template_mu_ with Query(): on-demand template discovery may
-    // reallocate the template list under a concurrent reader.
-    ReaderMutexLock lock(&template_mu_);
-    EngineStats s;
-    s.engine = name();
-    s.rows = impl_.table().size();
-    s.sample_size = initialized_ ? impl_.reservoir().size() : 0;
-    s.num_templates = static_cast<int>(impl_.num_templates());
-    s.inserts = inserts_;
-    s.deletes = deletes_;
-    s.repartitions = repartitions_;
-    s.background_reopts = bg_rebuilds_;
-    s.delta_ops_replayed = delta_replayed_;
-    s.last_reopt_seconds = last_reopt_seconds_;
-    s.last_blocking_seconds = last_blocking_seconds_;
-    s.archive_bytes = impl_.table().MemoryBytes();
-    if (initialized_) {
-      s.synopsis_bytes = ReservoirBytes(impl_.reservoir().size());
-      for (size_t i = 0; i < impl_.num_templates(); ++i) {
-        s.synopsis_bytes += impl_.dpt(static_cast<int>(i)).MemoryBytes();
-      }
-    }
-    s.parallel_scans = scan_counters_.parallel_scans.load();
-    s.serial_scans = scan_counters_.serial_scans.load();
-    s.nested_serial_scans = scan_counters_.nested_serial_scans.load();
-    s.stolen_morsels = scan_counters_.stolen_morsels.load();
-    return s;
-  }
-  const DynamicTable* table() const override { return &impl_.table(); }
-  const Dpt* synopsis() const override {
-    ReaderMutexLock lock(&template_mu_);
-    return initialized_ && impl_.num_templates() > 0 ? &impl_.dpt(0) : nullptr;
-  }
-
-  void SaveState(persist::Writer* w) const override {
-    ReaderMutexLock lock(&template_mu_);
-    w->Bool(initialized_);
-    w->U64(inserts_);
-    w->U64(deletes_);
-    w->U64(repartitions_);
-    w->U64(bg_rebuilds_);
-    w->U64(delta_replayed_);
-    impl_.SaveTo(w);
-  }
-  void LoadState(persist::Reader* r) override {
-    WriterMutexLock lock(&template_mu_);
-    initialized_ = r->Bool();
-    inserts_ = r->U64();
-    deletes_ = r->U64();
-    repartitions_ = r->U64();
-    bg_rebuilds_ = r->U64();
-    delta_replayed_ = r->U64();
-    impl_.LoadFrom(r);
-  }
-
- protected:
-  void CheckInvariantsImpl() const override {
-    ReaderMutexLock lock(&template_mu_);
-    impl_.table().store().CheckInvariants();
-    if (!initialized_) return;
-    impl_.reservoir().CheckInvariants();
-    // Every template mirrors the one pooled reservoir; sizes must agree.
-    for (size_t i = 0; i < impl_.num_templates(); ++i) {
-      const Dpt& d = impl_.dpt(static_cast<int>(i));
-      d.CheckInvariants();
-      invariants::Require(
-          d.sample_size() == impl_.reservoir().size(), "MultiEngine",
-          "template " + std::to_string(i) + " mirrors " +
-              std::to_string(d.sample_size()) + " samples but the pooled " +
-              "reservoir holds " + std::to_string(impl_.reservoir().size()));
-    }
-  }
-
- private:
-  /// One pipeline round for the multi-template manager. Begin and Finish
-  /// are short and take the exclusive room (multi updates are base-
-  /// serialized, not internally locked, so the update room alone would not
-  /// exclude a concurrent updater); the per-template optimize + populate —
-  /// the dominant cost — runs with no room at all.
-  bool RunBackgroundRebuild() {
-    Timer total;
-    {
-      ExclusiveRoom room(rooms());
-      if (!impl_.BeginBackgroundRebuild()) return false;
-    }
-    impl_.BuildBackgroundRebuild();
-    {
-      ExclusiveRoom room(rooms());
-      Timer blocking;
-      uint64_t replayed = 0;
-      if (impl_.FinishBackgroundRebuild(&replayed)) {
-        ++repartitions_;
-        ++bg_rebuilds_;
-        delta_replayed_ += replayed;
-        last_blocking_seconds_ = blocking.ElapsedSeconds();
-        last_reopt_seconds_ = total.ElapsedSeconds();
-      }
-    }
-    return false;  // one rebuild per kick; later kicks coalesce
-  }
-
   /// Template discovery (Sec. 5.5): add a tree for `q`'s template unless one
-  /// exists. template_mu_ held for writing.
-  void DiscoverTemplate(const AggQuery& q) const {
-    if (impl_.TemplateFor(q.predicate_columns) >= 0) return;
+  /// exists; returns its index. template_mu_ held for writing.
+  int DiscoverTemplate(const AggQuery& q) const {
+    const int idx = impl_.TemplateFor(q.predicate_columns);
+    if (idx >= 0) return idx;
     RequirePartitionable(impl_.options().algorithm, q.predicate_columns);
     SynopsisSpec spec;
     spec.agg_column = q.agg_column;
     spec.predicate_columns = q.predicate_columns;
-    impl_.AddTemplate(spec);
+    return impl_.AddTemplate(spec);
   }
 
   scan::ScanCounters scan_counters_;
-  mutable MultiTemplateJanus impl_;
-  /// Guards impl_'s template list (discovery appends; readers index it).
-  /// impl_ itself cannot carry GUARDED_BY: update paths mutate it under the
-  /// engine's update room instead of this lock.
+  mutable JanusAqp impl_;
+  const bool discover_templates_;
+  /// Guards impl_'s template list against discovery (which appends) for
+  /// the readers that index it. impl_ itself cannot carry GUARDED_BY: update
+  /// paths mutate it under the engine's update room instead of this lock.
   mutable SharedMutex template_mu_;
-  bool initialized_ = false;
-  uint64_t inserts_;
-  uint64_t deletes_;
-  uint64_t repartitions_ = 0;
-  uint64_t bg_rebuilds_ = 0;
-  uint64_t delta_replayed_ = 0;
-  double last_reopt_seconds_ = 0;
-  double last_blocking_seconds_ = 0;
-  /// Declared last: its thread touches impl_ and rooms().
+  /// Declared last: its thread touches impl_ and rooms(), so it must die
+  /// first (the destructor also resets it explicitly for clarity).
   std::unique_ptr<MaintenanceThread> maint_;
 };
 
@@ -866,11 +729,15 @@ class SptEngine : public AqpEngine {
 void RegisterBuiltinEngines(EngineRegistry* registry) {
   registry->Register("janus", "JanusAQP: DPT + catch-up + triggers",
                      [](const EngineConfig& c) {
-                       return std::make_unique<JanusEngine>(c);
+                       return std::make_unique<JanusEngine>(
+                           c, /*discover_templates=*/false);
                      });
-  registry->Register("multi", "multi-template manager, one tree per template",
+  registry->Register("multi", "JanusAQP with one tree per query template",
                      [](const EngineConfig& c) {
-                       return std::make_unique<MultiEngine>(c);
+                       EngineConfig m = c;
+                       m.enable_triggers = false;
+                       return std::make_unique<JanusEngine>(
+                           m, /*discover_templates=*/true);
                      });
   registry->Register("rs", "uniform reservoir-sampling baseline",
                      [](const EngineConfig& c) {

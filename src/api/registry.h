@@ -19,7 +19,8 @@ using EngineFactory =
 /// String-keyed engine factory. The global instance comes pre-loaded with
 /// the built-in backends:
 ///   janus  - JanusAQP: DPT + catch-up + re-partitioning triggers (Sec. 4/5)
-///   multi  - multi-template manager: one tree per template (Sec. 5.5)
+///   multi  - JanusAQP routing each query template to its own tree
+///            (Sec. 5.5), no triggers
 ///   rs     - uniform reservoir-sample baseline (Sec. 6.1.3)
 ///   srs    - stratified reservoir baseline, fixed equal-depth strata
 ///   spn    - mini sum-product-network, the DeepDB stand-in

@@ -215,13 +215,6 @@ ShardedEngine::ShardedEngine(std::string inner_name,
 
 ShardedEngine::~ShardedEngine() = default;
 
-// Deliberately unlocked test introspection (documented "not quiesced"):
-// callers own the quiescence, so the analysis cannot see the protection.
-const AqpEngine& ShardedEngine::shard_engine(size_t shard) const
-    NO_THREAD_SAFETY_ANALYSIS {
-  return *shards_[shard]->engine;
-}
-
 void ShardedEngine::ForEachShardParallel(
     const std::function<void(size_t)>& fn) const {
   if (shards_.size() == 1) {

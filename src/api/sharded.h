@@ -90,8 +90,6 @@ class ShardedEngine : public AqpEngine {
   void LoadState(persist::Reader* r) override;
 
   size_t num_shards() const { return shards_.size(); }
-  /// Inner engine of one shard (test introspection; not quiesced).
-  const AqpEngine& shard_engine(size_t shard) const;
 
  protected:
   /// The shards provide all synchronization (per-shard quiesce points +

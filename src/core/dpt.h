@@ -125,7 +125,6 @@ class Dpt {
   void ResetSamples(const std::vector<Tuple>& samples);
   size_t sample_size() const { return samples_.size(); }
   const MaxVarianceIndex& sample_index() const { return samples_; }
-  MaxVarianceIndex* mutable_sample_index() { return &samples_; }
 
   // --- catch-up (Sec. 4.3); thread-safe per leaf ----------------------------
 

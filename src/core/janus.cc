@@ -15,32 +15,32 @@ namespace janus {
 
 namespace {
 
-/// The tree an adoption retires and the catch-up engine that points into
-/// it. The holder's destructor hands both to `pool`, whose task frees the
-/// engine first; with no pool, or no room to queue the task, they are freed
-/// inline, in the same order (members destroy in reverse).
-class RetiredTree {
+/// The trees an adoption retires and the catch-up engines that point into
+/// them. The holder's destructor hands them to `pool`, whose task frees the
+/// engines first; with no pool, or no room to queue the task, they are
+/// freed inline, in the same order (members destroy in reverse).
+class RetiredTrees {
  public:
-  explicit RetiredTree(ThreadPool* pool) : pool_(pool) {}
-  ~RetiredTree() {
-    if (pool_ == nullptr || (!dpt && !catchup)) return;
+  explicit RetiredTrees(ThreadPool* pool) : pool_(pool) {}
+  ~RetiredTrees() {
+    if (pool_ == nullptr || (dpts.empty() && catchups.empty())) return;
     try {
-      auto parts = std::make_shared<RetiredTree>(nullptr);
-      parts->dpt = std::move(dpt);
-      parts->catchup = std::move(catchup);
+      auto parts = std::make_shared<RetiredTrees>(nullptr);
+      parts->dpts = std::move(dpts);
+      parts->catchups = std::move(catchups);
       pool_->Submit([parts] {
-        parts->catchup.reset();
-        parts->dpt.reset();
+        parts->catchups.clear();
+        parts->dpts.clear();
       });
     } catch (...) {
       // Queueing failed; whatever was not queued is freed here.
     }
   }
-  RetiredTree(const RetiredTree&) = delete;
-  RetiredTree& operator=(const RetiredTree&) = delete;
+  RetiredTrees(const RetiredTrees&) = delete;
+  RetiredTrees& operator=(const RetiredTrees&) = delete;
 
-  std::unique_ptr<Dpt> dpt;
-  std::unique_ptr<CatchupEngine> catchup;
+  std::vector<std::unique_ptr<Dpt>> dpts;
+  std::vector<std::unique_ptr<CatchupEngine>> catchups;
 
  private:
   ThreadPool* pool_;
@@ -65,11 +65,41 @@ SptOptions MakeSptOptions(const JanusOptions& o, const SynopsisSpec& spec) {
 }
 
 JanusAqp::JanusAqp(const JanusOptions& opts)
-    : opts_(opts), table_(opts.schema), rng_(opts.seed) {}
+    : opts_(opts), table_(opts.schema), rng_(opts.seed) {
+  templates_.push_back({opts.spec, nullptr, nullptr});
+}
 
-DptOptions JanusAqp::MakeDptOptions() const {
+int JanusAqp::TemplateFor(const std::vector<int>& predicate_columns) const {
+  for (size_t i = 0; i < templates_.size(); ++i) {
+    if (templates_[i].spec.predicate_columns == predicate_columns) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+int JanusAqp::AddTemplate(const SynopsisSpec& spec) {
+  WriterMutexLock tree(&tree_mu_);
+  MutexLock lock(&update_mu_);
+  const int existing = TemplateFor(spec.predicate_columns);
+  if (existing >= 0 &&
+      templates_[static_cast<size_t>(existing)].spec.agg_column ==
+          spec.agg_column) {
+    return existing;
+  }
+  Template t{spec, nullptr, nullptr};
+  // Built before it is listed: a template whose build throws leaves none.
+  if (initialized()) {
+    BuildTemplate(
+        &t, std::make_shared<ArchiveSnapshot>(table_.store(), &update_mu_));
+  }
+  templates_.push_back(std::move(t));
+  return static_cast<int>(templates_.size()) - 1;
+}
+
+DptOptions JanusAqp::MakeDptOptions(const SynopsisSpec& spec) const {
   DptOptions d;
-  d.spec = opts_.spec;
+  d.spec = spec;
   d.sample_rate = opts_.sample_rate;
   d.minmax_k = opts_.minmax_k;
   d.confidence = opts_.confidence;
@@ -92,16 +122,32 @@ std::vector<double> JanusAqp::ComputeBaselines(const Dpt& dpt) const {
   return baselines;
 }
 
-void JanusAqp::AdoptSpec(PartitionTreeSpec spec) {
-  dpt_ = std::make_unique<Dpt>(MakeDptOptions(), std::move(spec));
-  dpt_->InitializeFromReservoir(reservoir_->samples(), table_.size());
-  const size_t goal = static_cast<size_t>(
-      opts_.catchup_rate * static_cast<double>(table_.size()));
-  catchup_ = std::make_unique<CatchupEngine>(
-      dpt_.get(),
-      std::make_shared<ArchiveSnapshot>(table_.store(), &update_mu_), goal,
+size_t JanusAqp::CatchupGoal(size_t n) const {
+  return static_cast<size_t>(opts_.catchup_rate * static_cast<double>(n));
+}
+
+double JanusAqp::BuildTemplate(Template* t,
+                               std::shared_ptr<ArchiveSnapshot> archive) {
+  Timer optimize;
+  PartitionResult pr = OptimizePartition(
+      reservoir_->samples(), MakeSptOptions(opts_, t->spec), table_.size());
+  const double seconds = optimize.ElapsedSeconds();
+  t->dpt = std::make_unique<Dpt>(MakeDptOptions(t->spec), std::move(pr.spec));
+  t->dpt->InitializeFromReservoir(reservoir_->samples(), table_.size());
+  t->catchup = std::make_unique<CatchupEngine>(
+      t->dpt.get(), std::move(archive), CatchupGoal(table_.size()),
       rng_.Next());
-  leaf_baseline_var_ = ComputeBaselines(*dpt_);
+  return seconds;
+}
+
+double JanusAqp::BuildTemplates() {
+  // Templates built together share one view of the archive.
+  const auto archive =
+      std::make_shared<ArchiveSnapshot>(table_.store(), &update_mu_);
+  double seconds = 0;
+  for (Template& t : templates_) seconds += BuildTemplate(&t, archive);
+  leaf_baseline_var_ = ComputeBaselines(*tree0());
+  return seconds;
 }
 
 void JanusAqp::Initialize() {
@@ -111,13 +157,10 @@ void JanusAqp::Initialize() {
   reservoir_ = std::make_unique<DynamicReservoir>(target, rng_.Next());
   reservoir_->Reset(table_.SampleUniform(&rng_, target, opts_.exec));
   Timer timer;
-  PartitionResult pr = OptimizePartition(
-      reservoir_->samples(), MakeSptOptions(opts_, opts_.spec), table_.size());
-  counters_.last_partition_seconds = timer.ElapsedSeconds();
-  Timer blocking;
-  AdoptSpec(std::move(pr.spec));
-  counters_.last_blocking_seconds = blocking.ElapsedSeconds();
+  counters_.last_partition_seconds = BuildTemplates();
   counters_.last_reopt_seconds = timer.ElapsedSeconds();
+  counters_.last_blocking_seconds =
+      counters_.last_reopt_seconds - counters_.last_partition_seconds;
   counters_.last_build_seconds = counters_.last_reopt_seconds;
 }
 
@@ -130,12 +173,16 @@ void JanusAqp::Insert(const Tuple& t) {
       MutexLock lock(&update_mu_);
       table_.Insert(t);
       ++counters_.inserts;
+      // One reservoir decision shared by every tree (Sec. 5.5: the set S is
+      // stored once; each tree only indexes it).
       const ReservoirChange ch = reservoir_->OnInsert(t, table_.size());
-      if (ch.evicted.has_value()) dpt_->SampleRemove(*ch.evicted);
-      if (ch.added.has_value()) dpt_->SampleAdd(*ch.added);
+      for (Template& tp : templates_) {
+        if (ch.evicted.has_value()) tp.dpt->SampleRemove(*ch.evicted);
+        if (ch.added.has_value()) tp.dpt->SampleAdd(*ch.added);
+      }
       if (reopt_.run.active()) reopt_.run.CaptureInsert(t, ch);
     }
-    dpt_->ApplyInsert(t);
+    for (Template& tp : templates_) tp.dpt->ApplyInsert(t);
   }
   if (opts_.enable_triggers) CheckTriggers(t);
 }
@@ -149,7 +196,9 @@ bool JanusAqp::Delete(uint64_t id) {
       // One id lookup; the archive views copy the pages it changes first.
       const bool live = table_.Delete(id, [&](size_t pos) {
         t = table_.store().RowTuple(pos);
-        if (catchup_) catchup_->snapshot().BeforeDelete(pos);
+        for (Template& tp : templates_) {
+          if (tp.catchup) tp.catchup->snapshot().BeforeDelete(pos);
+        }
         if (ArchiveSnapshot* a = reopt_.run.archive()) a->BeforeDelete(pos);
       });
       if (!live) return false;
@@ -160,45 +209,75 @@ bool JanusAqp::Delete(uint64_t id) {
         // Sec. 4.2: |S| hit its lower bound m; re-sample 2m from the archive.
         fresh = table_.SampleUniform(&rng_, reservoir_->capacity(), opts_.exec);
         reservoir_->Reset(fresh);
-        dpt_->ResetSamples(fresh);
         ++counters_.reservoir_resamples;
-      } else if (ch.evicted.has_value()) {
-        dpt_->SampleRemove(*ch.evicted);
+      }
+      for (Template& tp : templates_) {
+        if (ch.needs_resample) {
+          tp.dpt->ResetSamples(fresh);
+        } else if (ch.evicted.has_value()) {
+          tp.dpt->SampleRemove(*ch.evicted);
+        }
       }
       if (reopt_.run.active()) reopt_.run.CaptureDelete(t, ch, fresh);
     }
-    dpt_->ApplyDelete(t);
+    for (Template& tp : templates_) tp.dpt->ApplyDelete(t);
   }
   if (opts_.enable_triggers) CheckTriggers(t);
   return true;
 }
 
-QueryResult JanusAqp::Query(const AggQuery& q) const { return dpt_->Query(q); }
+QueryResult JanusAqp::Query(const AggQuery& q) const {
+  return tree0()->Query(q);
+}
 
 void JanusAqp::RunCatchupToGoal() {
   ReaderMutexLock tree(&tree_mu_);
-  if (catchup_) catchup_->RunToGoal();
+  for (Template& t : templates_) {
+    if (t.catchup) t.catchup->RunToGoal();
+  }
 }
 
 size_t JanusAqp::StepCatchup(size_t batch) {
   ReaderMutexLock tree(&tree_mu_);
-  return catchup_ ? catchup_->Step(batch) : 0;
+  size_t absorbed = 0;
+  for (Template& t : templates_) {
+    if (t.catchup) absorbed += t.catchup->Step(batch);
+  }
+  return absorbed;
+}
+
+size_t JanusAqp::catchup_processed() const {
+  size_t processed = 0;
+  for (const Template& t : templates_) {
+    if (t.catchup) processed += t.catchup->processed();
+  }
+  return processed;
+}
+
+double JanusAqp::catchup_processing_seconds() const {
+  double seconds = 0;
+  for (const Template& t : templates_) {
+    if (t.catchup) seconds += t.catchup->processing_seconds();
+  }
+  return seconds;
 }
 
 double JanusAqp::LeafMaxVariance(int leaf) const {
-  return dpt_->sample_index().MaxVariance(dpt_->LeafRect(leaf), opts_.focus);
+  return tree0()->sample_index().MaxVariance(tree0()->LeafRect(leaf),
+                                             opts_.focus);
 }
 
 bool JanusAqp::BeatsLiveTree(double cand_var) const {
   double worst = 0;
-  for (int leaf : dpt_->tree().leaves) {
+  for (int leaf : tree0()->tree().leaves) {
     worst = std::max(worst, LeafMaxVariance(leaf));
   }
   return cand_var * opts_.beta < worst;
 }
 
 bool JanusAqp::PartialRepartition(int leaf) {
-  const PartitionTreeSpec& old_spec = dpt_->tree();
+  Template& live = templates_[0];
+  const PartitionTreeSpec& old_spec = live.dpt->tree();
   // Climb psi levels (Appendix E).
   int anchor = leaf;
   for (int i = 0; i < opts_.partial_repartition_psi; ++i) {
@@ -212,7 +291,7 @@ bool JanusAqp::PartialRepartition(int leaf) {
   const Rectangle& region = old_spec.nodes[static_cast<size_t>(anchor)].rect;
   std::vector<Tuple> region_samples;
   std::vector<double> point(opts_.spec.predicate_columns.size());
-  for (const auto& [id, t] : dpt_->sample_tuples()) {
+  for (const auto& [id, t] : live.dpt->sample_tuples()) {
     (void)id;
     ProjectTuple(t, opts_.spec.predicate_columns, point.data());
     if (region.Contains(point.data())) region_samples.push_back(t);
@@ -335,12 +414,13 @@ bool JanusAqp::PartialRepartition(int leaf) {
   // subtree leaves are seeded from the region's reservoir samples with the
   // subtree's catch-up mass preserved (Appendix E keeps estimates of
   // unchanged nodes and restarts catch-up for the changed region).
-  const double h_total = dpt_->catchup_count();
-  const double h_sub = dpt_->NodeCatchupCount(anchor);
+  const double h_total = live.dpt->catchup_count();
+  const double h_sub = live.dpt->NodeCatchupCount(anchor);
   const double n0 = static_cast<double>(table_.size());
-  auto fresh = std::make_unique<Dpt>(MakeDptOptions(), std::move(grafted));
+  auto fresh =
+      std::make_unique<Dpt>(MakeDptOptions(opts_.spec), std::move(grafted));
   for (const auto& [old_node, new_node] : preserved) {
-    fresh->CopyLeafStats(*dpt_, old_node, new_node);
+    fresh->CopyLeafStats(*live.dpt, old_node, new_node);
   }
   // Seed new leaves: distribute region samples to their new leaves.
   const double scale =
@@ -368,20 +448,18 @@ bool JanusAqp::PartialRepartition(int leaf) {
   fresh->SetCatchupState(StatMode::kCatchup, n0, h_total);
   // Re-attach the pooled reservoir.
   std::vector<Tuple> pool;
-  pool.reserve(dpt_->sample_tuples().size());
-  for (const auto& [id, t] : dpt_->sample_tuples()) {
+  pool.reserve(live.dpt->sample_tuples().size());
+  for (const auto& [id, t] : live.dpt->sample_tuples()) {
     (void)id;
     pool.push_back(t);
   }
   fresh->ResetSamples(pool);
-  dpt_ = std::move(fresh);
-  const size_t goal = static_cast<size_t>(
-      opts_.catchup_rate * static_cast<double>(table_.size()));
-  catchup_ = std::make_unique<CatchupEngine>(
-      dpt_.get(),
-      std::make_shared<ArchiveSnapshot>(table_.store(), &update_mu_), goal,
-      rng_.Next());
-  leaf_baseline_var_ = ComputeBaselines(*dpt_);
+  live.dpt = std::move(fresh);
+  live.catchup = std::make_unique<CatchupEngine>(
+      live.dpt.get(),
+      std::make_shared<ArchiveSnapshot>(table_.store(), &update_mu_),
+      CatchupGoal(table_.size()), rng_.Next());
+  leaf_baseline_var_ = ComputeBaselines(*live.dpt);
   counters_.last_reopt_seconds = timer.ElapsedSeconds();
   ++counters_.partial_repartitions;
   return true;
@@ -404,14 +482,14 @@ bool JanusAqp::CheckTriggers(const Tuple& t) {
     // synopsis pointer against a racing swap.
     ReaderMutexLock tree(&tree_mu_);
     MutexLock lock(&update_mu_);
-    if (!dpt_) return false;
-    evaluated = dpt_.get();
+    evaluated = tree0();
+    if (evaluated == nullptr) return false;
     ++counters_.trigger_checks;
-    leaf = dpt_->LeafForTuple(t);
+    leaf = evaluated->LeafForTuple(t);
 
     // Starvation check (Sec. 5.4): too few samples for robust estimators.
-    const double si = dpt_->LeafSampleCount(leaf);
-    const double m = static_cast<double>(dpt_->sample_size());
+    const double si = evaluated->LeafSampleCount(leaf);
+    const double m = static_cast<double>(evaluated->sample_size());
     starved = si < opts_.starvation_factor * std::log2(std::max(2.0, m));
 
     // Variance drift check.
@@ -441,7 +519,7 @@ bool JanusAqp::CheckTriggers(const Tuple& t) {
     MutexLock lock(&update_mu_);
     // Another updater swapped the tree since the evaluation, or has a run
     // in flight whose adoption supersedes this fire.
-    if (dpt_.get() != evaluated || reopt_.run.active()) return false;
+    if (tree0() != evaluated || reopt_.run.active()) return false;
     if (PartialRepartition(leaf)) {
       ClearReoptRequest();
       return true;
@@ -457,13 +535,10 @@ void JanusAqp::Reinitialize() {
   WriterMutexLock tree(&tree_mu_);
   MutexLock lock(&update_mu_);
   Timer build;
-  PartitionResult pr = OptimizePartition(
-      reservoir_->samples(), MakeSptOptions(opts_, opts_.spec), table_.size());
-  counters_.last_partition_seconds = build.ElapsedSeconds();
-  Timer blocking;
-  AdoptSpec(std::move(pr.spec));
-  counters_.last_blocking_seconds = blocking.ElapsedSeconds();
+  counters_.last_partition_seconds = BuildTemplates();
   counters_.last_build_seconds = build.ElapsedSeconds();
+  counters_.last_blocking_seconds =
+      counters_.last_build_seconds - counters_.last_partition_seconds;
   // Step 4 (Sec. 4.3): fresh archive sample becomes the pooled reservoir,
   // re-sized to the configured rate of the *current* table.
   const size_t target = std::max<size_t>(
@@ -473,7 +548,7 @@ void JanusAqp::Reinitialize() {
   std::vector<Tuple> fresh =
       table_.SampleUniform(&rng_, target, opts_.exec);
   reservoir_->Reset(fresh);
-  dpt_->ResetSamples(fresh);
+  for (Template& t : templates_) t.dpt->ResetSamples(fresh);
   counters_.last_reopt_seconds = timer.ElapsedSeconds();
   ++counters_.repartitions;
 }
@@ -481,6 +556,23 @@ void JanusAqp::Reinitialize() {
 bool JanusAqp::ReoptRequested() const {
   MutexLock lock(&update_mu_);
   return reopt_request_;
+}
+
+void JanusAqp::RequestReopt() {
+  MutexLock lock(&update_mu_);
+  reopt_request_ = true;
+  reopt_request_drift_ = false;
+}
+
+bool JanusAqp::Rebuild() {
+  {
+    MutexLock lock(&update_mu_);
+    if (reopt_.run.active()) return false;
+    ClearReoptRequest();  // unconditional: no beta test
+    if (!BeginReopt(/*inline_run=*/true)) return false;
+  }
+  BuildBackgroundReopt();
+  return FinishBackgroundReopt();
 }
 
 void JanusAqp::ClearReoptRequest() {
@@ -496,7 +588,7 @@ bool JanusAqp::BeginBackgroundReopt() {
 }
 
 bool JanusAqp::BeginReopt(bool inline_run) {
-  if (reopt_.run.active() || !dpt_ || !reservoir_) return false;
+  if (reopt_.run.active() || !initialized() || !reservoir_) return false;
   reopt_ = Reopt{};
   // Consume the pending request; with none pending this is an explicit,
   // unconditional rebuild.
@@ -505,12 +597,16 @@ bool JanusAqp::BeginReopt(bool inline_run) {
   reopt_.drift_leaf = reopt_request_leaf_;
   ClearReoptRequest();
   reopt_.inline_run = inline_run;
-  reopt_.live_at_begin = dpt_.get();
+  reopt_.live_at_begin = tree0();
   reopt_.run.Begin(reservoir_->samples(), table_.store(), &update_mu_);
-  // An unconditional run draws its catch-up seed now, so the RNG stream is
-  // positioned exactly as a rebuild at this point leaves it. A drift run
-  // draws it at adoption: a rejected candidate draws nothing.
-  if (!reopt_.drift) reopt_.catchup_seed = rng_.Next();
+  for (const Template& t : templates_) {
+    reopt_.specs.push_back(t.spec);
+    // An unconditional run draws its catch-up seeds now, in template
+    // order, so the RNG stream is positioned exactly as a rebuild at this
+    // point leaves it. A drift run draws them at adoption: a rejected
+    // candidate draws nothing.
+    if (!reopt_.drift) reopt_.catchup_seeds.push_back(rng_.Next());
+  }
   return true;
 }
 
@@ -533,24 +629,29 @@ void JanusAqp::BuildBackgroundReopt() {
 
 void JanusAqp::BuildReopt() {
   Reopt& r = reopt_;
-  Timer optimize;
-  PartitionResult pr = OptimizePartition(
-      r.run.snapshot(), MakeSptOptions(opts_, opts_.spec), r.run.n0());
-  r.partition_seconds = optimize.ElapsedSeconds();
-  if (!pr.ok) return;  // the run is never built; Finish discards it
-  r.cand_var = pr.achieved_error * pr.achieved_error;
-  if (r.drift) {
-    // Drift requests stay conditional (Sec. 5.4). Testing before the side
-    // build means a losing candidate never pays for one.
-    ReaderMutexLock tree(&tree_mu_);
-    MutexLock lock(&update_mu_);
-    if (dpt_.get() != r.live_at_begin || !BeatsLiveTree(r.cand_var)) return;
-    r.tested_at = r.run.captured();
+  for (size_t i = 0; i < r.specs.size(); ++i) {
+    Timer optimize;
+    PartitionResult pr = OptimizePartition(
+        r.run.snapshot(), MakeSptOptions(opts_, r.specs[i]), r.run.n0());
+    r.partition_seconds += optimize.ElapsedSeconds();
+    if (!pr.ok) return;  // the run is never built; Finish discards it
+    if (i == 0) {
+      r.cand_var = pr.achieved_error * pr.achieved_error;
+      if (r.drift) {
+        // Drift requests stay conditional (Sec. 5.4). Testing before the
+        // side builds means a losing candidate never pays for them.
+        ReaderMutexLock tree(&tree_mu_);
+        MutexLock lock(&update_mu_);
+        if (tree0() != r.live_at_begin || !BeatsLiveTree(r.cand_var)) return;
+        r.tested_at = r.run.captured();
+      }
+    }
+    const Dpt* side =
+        r.run.AddSide(MakeDptOptions(r.specs[i]), std::move(pr.spec));
+    // Baselines here keep the per-leaf MaxVariance sweep out of the
+    // exclusive adoption step.
+    if (i == 0) r.baselines = ComputeBaselines(*side);
   }
-  // Baselines here keep the per-leaf MaxVariance sweep out of the exclusive
-  // adoption step.
-  const Dpt* side = r.run.AddSide(MakeDptOptions(), std::move(pr.spec));
-  r.baselines = ComputeBaselines(*side);
   r.run.PreDrain(&update_mu_, opts_.reopt_delta_tail);
 }
 
@@ -562,7 +663,7 @@ bool JanusAqp::FinishBackgroundReopt() {
   // exclusive blocking window, nor, with a scan pool, on the thread that
   // drives the run.
   // Declared before the lock guards so destructor order runs locks-first.
-  RetiredTree retired_tree(opts_.exec.pool);
+  RetiredTrees retired_trees(opts_.exec.pool);
   Reopt retired;
   Timer blocking;
   WriterMutexLock tree(&tree_mu_);
@@ -574,7 +675,7 @@ bool JanusAqp::FinishBackgroundReopt() {
     counters_.last_partition_seconds = r.partition_seconds;
     counters_.last_build_seconds = r.build_seconds;
   }
-  const bool current = dpt_.get() == r.live_at_begin;
+  const bool current = tree0() == r.live_at_begin;
   bool adopt = r.run.built() && current;
   if (adopt && r.drift && r.run.captured() != r.tested_at) {
     // The live tree absorbed updates since the Build-time test.
@@ -591,14 +692,18 @@ bool JanusAqp::FinishBackgroundReopt() {
     return false;
   }
   r.run.Finish();
-  retired_tree.dpt = std::move(dpt_);
-  dpt_ = r.run.TakeSide(0);
-  const size_t goal = static_cast<size_t>(
-      opts_.catchup_rate * static_cast<double>(r.run.n0()));
-  if (r.drift) r.catchup_seed = rng_.Next();
-  retired_tree.catchup = std::move(catchup_);
-  catchup_ = std::make_unique<CatchupEngine>(
-      dpt_.get(), r.run.TakeArchive(), goal, r.catchup_seed);
+  // The templates registered at Begin share the Begin-time view; later ones
+  // were built from the live pool and absorbed every update since.
+  const std::shared_ptr<ArchiveSnapshot> archive = r.run.TakeArchive();
+  for (size_t i = 0; i < r.specs.size(); ++i) {
+    Template& t = templates_[i];
+    retired_trees.dpts.push_back(std::move(t.dpt));
+    retired_trees.catchups.push_back(std::move(t.catchup));
+    t.dpt = r.run.TakeSide(i);
+    const uint64_t seed = r.drift ? rng_.Next() : r.catchup_seeds[i];
+    t.catchup = std::make_unique<CatchupEngine>(
+        t.dpt.get(), archive, CatchupGoal(r.run.n0()), seed);
+  }
   leaf_baseline_var_ = std::move(r.baselines);
   // Requests recorded during the run were evaluated against the tree just
   // replaced; adoption (fresh baselines, fresh catch-up) supersedes them.
@@ -714,10 +819,23 @@ void JanusAqp::SaveTo(persist::Writer* w) const {
 
   w->Bool(reservoir_ != nullptr);
   if (reservoir_) reservoir_->SaveTo(w);
-  w->Bool(dpt_ != nullptr);
-  if (dpt_) dpt_->SaveTo(w);
-  w->Bool(catchup_ != nullptr);
-  if (catchup_) catchup_->SaveTo(w);
+  SaveTemplate(templates_[0], w);
+}
+
+void JanusAqp::SaveTemplates(persist::Writer* w) const {
+  w->Size(templates_.size() - 1);
+  for (size_t i = 1; i < templates_.size(); ++i) {
+    w->I32(templates_[i].spec.agg_column);
+    w->IntVec(templates_[i].spec.predicate_columns);
+    SaveTemplate(templates_[i], w);
+  }
+}
+
+void JanusAqp::SaveTemplate(const Template& t, persist::Writer* w) const {
+  w->Bool(t.dpt != nullptr);
+  if (t.dpt) t.dpt->SaveTo(w);
+  w->Bool(t.catchup != nullptr);
+  if (t.catchup) t.catchup->SaveTo(w);
 }
 
 void JanusAqp::LoadFrom(persist::Reader* r) {
@@ -753,24 +871,41 @@ void JanusAqp::LoadFrom(persist::Reader* r) {
   } else {
     reservoir_.reset();
   }
+  templates_.erase(templates_.begin() + 1, templates_.end());
+  LoadTemplate(&templates_[0], r);
+}
+
+void JanusAqp::LoadTemplates(persist::Reader* r) {
+  WriterMutexLock tree(&tree_mu_);
+  MutexLock lock(&update_mu_);
+  const size_t count = r->Size();
+  for (size_t i = 0; i < count; ++i) {
+    Template t;
+    t.spec.agg_column = r->I32();
+    t.spec.predicate_columns = r->IntVec();
+    LoadTemplate(&t, r);
+    templates_.push_back(std::move(t));
+  }
+}
+
+void JanusAqp::LoadTemplate(Template* t, persist::Reader* r) {
+  t->catchup.reset();
+  t->dpt.reset();
   if (r->Bool()) {
-    dpt_ = std::make_unique<Dpt>(MakeDptOptions(), PartitionTreeSpec{});
-    dpt_->LoadFrom(r);
-  } else {
-    dpt_.reset();
+    t->dpt = std::make_unique<Dpt>(MakeDptOptions(t->spec),
+                                   PartitionTreeSpec{});
+    t->dpt->LoadFrom(r);
   }
   if (r->Bool()) {
-    if (!dpt_) {
+    if (!t->dpt) {
       throw persist::PersistError(
           "snapshot corrupt: catch-up state without a synopsis");
     }
-    catchup_ = std::make_unique<CatchupEngine>(
-        dpt_.get(),
+    t->catchup = std::make_unique<CatchupEngine>(
+        t->dpt.get(),
         std::make_shared<ArchiveSnapshot>(ColumnStore(opts_.schema)),
         /*goal_samples=*/0, /*seed=*/0);
-    catchup_->LoadFrom(r);
-  } else {
-    catchup_.reset();
+    t->catchup->LoadFrom(r);
   }
 }
 
@@ -784,21 +919,24 @@ void JanusAqp::CheckInvariants() const {
                               " that is not live in the archive");
     }
   }
-  if (dpt_) {
-    dpt_->CheckInvariants();
+  for (size_t i = 0; i < templates_.size(); ++i) {
+    const Dpt* dpt = templates_[i].dpt.get();
+    if (dpt == nullptr) continue;
+    dpt->CheckInvariants();
     // The DPT's sample mirror tracks the reservoir one change at a time
     // (added/evicted deltas); id-set equality proves no delta was dropped.
     if (reservoir_) {
-      const auto& mirror = dpt_->sample_tuples();
+      const std::string tree = "template " + std::to_string(i) + "'s DPT";
+      const auto& mirror = dpt->sample_tuples();
       invariants::Require(
           mirror.size() == reservoir_->size(), "JanusAqp",
-          "DPT sample mirror holds " + std::to_string(mirror.size()) +
+          tree + " sample mirror holds " + std::to_string(mirror.size()) +
               " tuples but the reservoir holds " +
               std::to_string(reservoir_->size()));
       for (const Tuple& t : reservoir_->samples()) {
         invariants::Require(mirror.contains(t.id), "JanusAqp",
                             "reservoir sample id " + std::to_string(t.id) +
-                                " missing from the DPT sample mirror");
+                                " missing from " + tree + " sample mirror");
       }
     }
   }

@@ -68,8 +68,8 @@ struct JanusOptions {
 /// Optimizer options for template `spec` under the knobs of `o`.
 SptOptions MakeSptOptions(const JanusOptions& o, const SynopsisSpec& spec);
 
-/// The re-optimization pipeline of Sec. 4.3, shared by JanusAqp (one side
-/// tree) and MultiTemplateJanus (one per template). One run:
+/// The re-optimization pipeline of Sec. 4.3: JanusAqp's only way to replace
+/// its trees off to the side, one side tree per template. One run:
 ///   1. Begin snapshots the pooled sample and |D|, takes a copy-on-write
 ///      view of the archive (ArchiveSnapshot) and starts capturing: every
 ///      live update from then on is recorded, in live order, next to the
@@ -184,26 +184,38 @@ struct JanusCounters {
 };
 
 /// The JanusAQP system (Sec. 3): owns the evolving table (archival storage),
-/// the pooled reservoir, one DPT synopsis, the catch-up engine (which reads
-/// the archive through a view Delete() keeps: ArchiveSnapshot) and the
-/// re-partitioning triggers.
+/// the pooled reservoir, one DPT synopsis per query template with its
+/// catch-up engine (which reads the archive through a view Delete() keeps:
+/// ArchiveSnapshot) and the re-partitioning triggers.
 ///
-/// Every full re-optimization — a trigger fire or an explicit
-/// BeginBackgroundReopt() — runs the ReoptRun pipeline in three stages:
+/// Templates are the "first method" of Sec. 5.5: one pooled sample S and one
+/// partition tree per template, for total space O(m + L*k). Template 0 is
+/// opts.spec; AddTemplate() registers more, up front or on demand (after
+/// Initialize() it builds the new tree from the pooled sample and starts its
+/// catch-up). Every update reaches every tree. Query() answers from template
+/// 0; a caller that routes by predicate columns looks up TemplateFor() and
+/// queries dpt(i). The triggers, the beta test and the partial
+/// re-partition read template 0 only; a rebuild replaces every template's
+/// tree.
+///
+/// Every full re-optimization — a trigger fire, an explicit
+/// BeginBackgroundReopt() or a Rebuild() — runs the ReoptRun pipeline in
+/// three stages over the templates registered at its Begin:
 ///   1. BeginBackgroundReopt(): update-side exclusion. Consumes the pending
-///      trigger request, snapshots the pooled sample and |D|, takes a view
-///      of the archive and starts capturing updates. An unconditional run
-///      draws its catch-up seed here.
-///   2. BuildBackgroundReopt(): no exclusion. Optimizes the partitioning on
-///      the snapshot. A drift request then runs the beta test of Sec. 5.4
-///      against the live tree and stops if the candidate does not win.
-///      Then builds the side tree and pre-drains the capture down to
-///      reopt_delta_tail ops.
+///      request, snapshots the pooled sample and |D|, takes a view of the
+///      archive and starts capturing updates. An unconditional run draws its
+///      catch-up seeds here, one per template in template order.
+///   2. BuildBackgroundReopt(): no exclusion. Optimizes each template's
+///      partitioning on the snapshot. A drift request runs the beta test of
+///      Sec. 5.4 on template 0's candidate against the live tree and stops
+///      if it does not win. Each template gets a side tree; then the capture
+///      is pre-drained down to reopt_delta_tail ops.
 ///   3. FinishBackgroundReopt(): full exclusion. Re-runs the beta test if
-///      updates arrived since, replays the tail, swaps the synopsis pointer
+///      updates arrived since, replays the tail, swaps the synopsis pointers
 ///      and restarts catch-up on the Begin-time view. A drift run draws its
-///      catch-up seed here, so a rejected candidate draws nothing. The
-///      retired tree and catch-up engine are freed on the scan pool.
+///      catch-up seeds here, so a rejected candidate draws nothing. The
+///      retired trees and catch-up engines are freed on the scan pool.
+///      Templates registered during the run keep their live trees.
 /// Two drivers run the stages. By default the updater whose trigger fired
 /// runs them back to back on its own thread. When an owner registered a
 /// hook with SetReoptNotify(), a fire only records the request and calls the
@@ -216,15 +228,28 @@ struct JanusCounters {
 /// a synopsis swap holds it exclusively, so no update straddles a swap.
 /// Query() and the explicit re-optimization entry points must be externally
 /// quiesced, exactly as the experiment drivers and the api/ engine rooms do;
-/// FinishBackgroundReopt() additionally requires full exclusion.
+/// FinishBackgroundReopt() additionally requires full exclusion. So must
+/// AddTemplate() against readers of the template list (TemplateFor, dpt).
 class JanusAqp {
  public:
   explicit JanusAqp(const JanusOptions& opts);
 
+  /// Register a query template; returns its index. No-op (returning the
+  /// existing index) when one with the same predicate and aggregate columns
+  /// is registered. After Initialize() the template's tree is built from the
+  /// current pooled sample with a fresh archive view, under the locks a
+  /// synopsis swap holds; its first answers are sample-grade and tighten as
+  /// its catch-up proceeds (Sec. 5.5).
+  int AddTemplate(const SynopsisSpec& spec);
+  /// Index of the template with these predicate columns; -1 when absent.
+  int TemplateFor(const std::vector<int>& predicate_columns) const;
+  size_t num_templates() const { return templates_.size(); }
+
   /// Bulk-load initial (historical) data without per-update overhead.
   void LoadInitial(const std::vector<Tuple>& rows);
 
-  /// Build the first synopsis from the current archive and start catch-up.
+  /// Draw the pooled sample from the current archive, build every
+  /// registered template's synopsis from it and start their catch-up.
   void Initialize();
 
   /// Process one insertion (Sec. 4.1/4.2 + trigger checks).
@@ -233,19 +258,28 @@ class JanusAqp {
   /// Process one deletion by tuple id. Returns false if not live.
   bool Delete(uint64_t id);
 
-  /// Answer a query from the synopsis only (never touches the archive).
+  /// Answer a query from template 0's synopsis only (never touches the
+  /// archive).
   QueryResult Query(const AggQuery& q) const;
 
-  /// Run the catch-up engine to its goal (deterministic, inline).
+  /// Run every template's catch-up engine to its goal (deterministic,
+  /// inline).
   void RunCatchupToGoal();
-  /// Absorb up to `batch` catch-up samples; returns how many.
+  /// Absorb up to `batch` catch-up samples per template; returns how many in
+  /// all.
   size_t StepCatchup(size_t batch);
 
-  /// Full re-optimization (Sec. 4.3): optimize partitioning on the pooled
-  /// reservoir, populate the new synopsis, re-sample the reservoir from the
-  /// archive and restart catch-up. Synchronous; a pipeline run in flight
-  /// becomes stale and is discarded at its Finish.
+  /// Full re-optimization (Sec. 4.3): optimize every template's
+  /// partitioning on the pooled reservoir, populate the new synopses,
+  /// re-sample the reservoir from the archive and restart catch-up.
+  /// Synchronous; a pipeline run in flight becomes stale and is discarded at
+  /// its Finish.
   void Reinitialize();
+  /// Rebuild every template's tree from the current pooled reservoir, with
+  /// no redraw: the three pipeline stages back to back, unconditionally.
+  /// Returns true when the rebuilt trees were adopted; false before
+  /// Initialize() or with a run in flight.
+  bool Rebuild();
 
   /// Trigger evaluation for the leaf of `t` (Sec. 5.4); called internally by
   /// Insert/Delete, public for tests. A fire records a re-optimization
@@ -254,8 +288,11 @@ class JanusAqp {
   /// psi > 0, else the pipeline) and returns true if a tree was adopted.
   bool CheckTriggers(const Tuple& t);
 
-  /// True when a trigger fire is waiting for a pipeline run.
+  /// True when a trigger fire or a RequestReopt() is waiting for a pipeline
+  /// run.
   bool ReoptRequested() const;
+  /// Record an unconditional rebuild request for the pipeline's owner.
+  void RequestReopt();
   /// Stage 1. Returns false when a run is already active or the instance is
   /// uninitialized. Called with update-side exclusion (an update-room hold,
   /// or a quiesced instance); a call with no pending request starts an
@@ -278,41 +315,55 @@ class JanusAqp {
     reopt_notify_ = std::move(fn);
   }
 
-  /// Snapshot persistence: archive, pooled reservoir, synopsis (structure-
-  /// exact), catch-up engine, system RNG, counters and trigger baselines —
-  /// the complete state needed so a restored instance answers queries
-  /// bit-identically and continues the update stream exactly like the
-  /// uninterrupted one. Options come from construction, not the snapshot.
-  /// Not thread-safe: quiesce updates first (the save path of a running
-  /// service goes through the sharded engine's per-shard quiesce points).
+  /// Snapshot persistence: archive, pooled reservoir, template 0's synopsis
+  /// (structure-exact) and catch-up engine, system RNG, counters and trigger
+  /// baselines — the complete state of a one-template instance, so a
+  /// restored instance answers queries bit-identically and continues the
+  /// update stream exactly like the uninterrupted one. SaveTemplates writes
+  /// templates 1..n-1 (spec, tree, catch-up) to follow it; LoadFrom drops
+  /// the instance's templates 1..n-1 and LoadTemplates restores the saved
+  /// ones. Options come from construction, not the snapshot. Not
+  /// thread-safe: quiesce updates first (the save path of a running service
+  /// goes through the sharded engine's per-shard quiesce points).
   void SaveTo(persist::Writer* w) const;
   void LoadFrom(persist::Reader* r);
+  void SaveTemplates(persist::Writer* w) const;
+  void LoadTemplates(persist::Reader* r);
 
   /// Structural audit of the whole system: the archive store, the pooled
-  /// reservoir (every sampled id must be live in the table), the synopsis,
-  /// and the DPT sample mirror (same ids as the reservoir). Not thread-safe;
-  /// quiesce updates first. Throws InvariantViolation on inconsistency.
+  /// reservoir (every sampled id must be live in the table), and per
+  /// template the synopsis and its DPT sample mirror (same ids as the
+  /// reservoir). Not thread-safe; quiesce updates first. Throws
+  /// InvariantViolation on inconsistency.
   void CheckInvariants() const;
 
   /// True once Initialize() has run (or a snapshot of an initialized
   /// instance was loaded).
-  bool initialized() const { return dpt_ != nullptr; }
+  bool initialized() const { return templates_[0].dpt != nullptr; }
 
-  const Dpt& dpt() const { return *dpt_; }
+  /// Template `i`'s synopsis (template 0 by default).
+  const Dpt& dpt(int i = 0) const {
+    return *templates_[static_cast<size_t>(i)].dpt;
+  }
   const DynamicTable& table() const { return table_; }
   const DynamicReservoir& reservoir() const { return *reservoir_; }
   const JanusCounters& counters() const { return counters_; }
   const JanusOptions& options() const { return opts_; }
-  size_t catchup_processed() const {
-    return catchup_ ? catchup_->processed() : 0;
-  }
-  double catchup_processing_seconds() const {
-    return catchup_ ? catchup_->processing_seconds() : 0;
-  }
-  /// Null before Initialize().
-  const CatchupEngine* catchup() const { return catchup_.get(); }
+  /// Catch-up progress summed over the templates.
+  size_t catchup_processed() const;
+  double catchup_processing_seconds() const;
+  /// Template 0's catch-up engine; null before Initialize().
+  const CatchupEngine* catchup() const { return templates_[0].catchup.get(); }
 
  private:
+  /// One query template: its spec, its tree over the pooled sample and the
+  /// tree's catch-up engine (null before Initialize()).
+  struct Template {
+    SynopsisSpec spec;
+    std::unique_ptr<Dpt> dpt;
+    std::unique_ptr<CatchupEngine> catchup;
+  };
+
   /// One pipeline run: the shared ReoptRun plus what JanusAqp's adoption
   /// decides on. Owned by the thread driving the run, except the run's
   /// capture state (update_mu_).
@@ -325,21 +376,34 @@ class JanusAqp {
     /// Reinitialize, a partial re-partition, a snapshot Load) replaced it
     /// mid-run, the side tree is stale and Finish discards it.
     const Dpt* live_at_begin = nullptr;
-    uint64_t catchup_seed = 0;
-    double cand_var = 0;     ///< candidate's achieved_error^2
+    /// The templates registered at Begin: one side tree each.
+    std::vector<SynopsisSpec> specs;
+    std::vector<uint64_t> catchup_seeds;
+    double cand_var = 0;     ///< template 0's candidate's achieved_error^2
     uint64_t tested_at = 0;  ///< run.captured() at the Build-time beta test
-    double partition_seconds = 0;  ///< Build stage: the optimizer
+    double partition_seconds = 0;  ///< Build stage: the optimizer calls
     double build_seconds = 0;      ///< Build stage: all of it
-    /// Trigger baselines of the snapshot-initialized side tree — what a
-    /// rebuild at Begin computes; installed verbatim at Finish.
+    /// Trigger baselines of template 0's snapshot-initialized side tree —
+    /// what a rebuild at Begin computes; installed verbatim at Finish.
     std::vector<double> baselines;
     Timer total;  ///< Begin -> adoption wall clock
   };
 
-  DptOptions MakeDptOptions() const;
-  /// Build a synopsis from the given spec, populate from the pooled
-  /// reservoir, restart catch-up, refresh trigger baselines.
-  void AdoptSpec(PartitionTreeSpec spec);
+  DptOptions MakeDptOptions(const SynopsisSpec& spec) const;
+  size_t CatchupGoal(size_t n) const;
+  /// Optimize `t`'s partitioning on the pooled reservoir, populate its tree
+  /// from it and restart its catch-up on `archive` with one rng_ draw.
+  /// Returns the optimizer's seconds.
+  double BuildTemplate(Template* t, std::shared_ptr<ArchiveSnapshot> archive);
+  /// BuildTemplate for every template on one fresh view, then template 0's
+  /// trigger baselines. Returns the optimizers' seconds.
+  double BuildTemplates();
+  /// Template 0's tree: the one triggers, the beta test and a partial
+  /// re-partition read.
+  Dpt* tree0() const { return templates_[0].dpt.get(); }
+  /// One template's tree and catch-up, as SaveTo writes template 0's.
+  void SaveTemplate(const Template& t, persist::Writer* w) const;
+  void LoadTemplate(Template* t, persist::Reader* r);
   /// Per-leaf MaxVariance baselines for an arbitrary (possibly side) tree.
   std::vector<double> ComputeBaselines(const Dpt& dpt) const;
   double LeafMaxVariance(int leaf) const;
@@ -363,12 +427,14 @@ class JanusAqp {
   JanusOptions opts_;
   DynamicTable table_;
   std::unique_ptr<DynamicReservoir> reservoir_;
-  std::unique_ptr<Dpt> dpt_;
-  std::unique_ptr<CatchupEngine> catchup_;
+  /// Never empty: template 0 is opts_.spec. Only AddTemplate and
+  /// LoadFrom/LoadTemplates resize it, with tree_mu_ held exclusively.
+  std::vector<Template> templates_;
   Rng rng_;
   JanusCounters counters_;
 
-  /// M_i baselines per node index (leaves only), set at (re)build.
+  /// Template 0's M_i baselines per node index (leaves only), set at
+  /// (re)build.
   std::vector<double> leaf_baseline_var_;
   std::atomic<uint64_t> updates_since_check_{0};
 
@@ -379,10 +445,11 @@ class JanusAqp {
   /// only, per the class thread-safety contract above.
   mutable Mutex update_mu_;
 
-  /// Guards the dpt_/catchup_ *pointers* against a swap racing the update
-  /// path: Insert/Delete (whole op) and catch-up steps hold it shared, any
-  /// code path that replaces the synopsis holds it exclusively. Lock order:
-  /// tree_mu_ before update_mu_, never the reverse.
+  /// Guards the template list and its tree/catch-up *pointers* against a
+  /// swap or an AddTemplate racing the update path: Insert/Delete (whole op)
+  /// and catch-up steps hold it shared, any code path that replaces a
+  /// synopsis or adds a template holds it exclusively. Lock order: tree_mu_
+  /// before update_mu_, never the reverse.
   mutable SharedMutex tree_mu_;
 
   // Re-optimization state. The request fields are guarded by update_mu_

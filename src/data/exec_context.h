@@ -27,8 +27,6 @@ struct ScanCounters {
   /// count means a hot path hides a fan-out opportunity behind another scan,
   /// not that the planner chose serial.
   std::atomic<uint64_t> nested_serial_scans{0};
-  /// Worker slots dispatched across all parallel scans.
-  std::atomic<uint64_t> worker_ranges{0};
   /// Morsels claimed by pool helpers rather than the calling thread — the
   /// direct measure of how much work stealing actually moved.
   std::atomic<uint64_t> stolen_morsels{0};
@@ -50,7 +48,7 @@ struct ExecContext {
   size_t max_workers = 0;
   /// Cost cutoff: scans of fewer rows run serial even with a pool.
   size_t parallel_min_rows = kDefaultParallelMinRows;
-  /// Optional telemetry sink (per-engine or GlobalScanCounters()).
+  /// Optional telemetry sink (an engine's own counters).
   ScanCounters* counters = nullptr;
 };
 
@@ -75,10 +73,7 @@ size_t ParseScanThreads(const char* text, size_t hardware,
 /// annotations.
 ThreadPool* SharedScanPool();
 
-/// Process-wide telemetry for contexts without an engine-owned sink.
-ScanCounters& GlobalScanCounters();
-
-/// Shared pool + global counters + default cutoff — the context free-standing
+/// Shared pool + default cutoff, no counter sink — the context free-standing
 /// consumers (benches, examples, ground-truth helpers) use.
 ExecContext DefaultExec();
 

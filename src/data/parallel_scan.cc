@@ -80,15 +80,9 @@ ThreadPool* SharedScanPool() {
   return &pool;
 }
 
-ScanCounters& GlobalScanCounters() {
-  static ScanCounters counters;
-  return counters;
-}
-
 ExecContext DefaultExec() {
   ExecContext ctx;
   ctx.pool = SharedScanPool();
-  ctx.counters = &GlobalScanCounters();
   return ctx;
 }
 
@@ -115,7 +109,6 @@ void CountPlan(const ExecContext& ctx, size_t workers) {
   if (ctx.counters == nullptr) return;
   if (workers > 1) {
     ctx.counters->parallel_scans.fetch_add(1, std::memory_order_relaxed);
-    ctx.counters->worker_ranges.fetch_add(workers, std::memory_order_relaxed);
   } else if (t_in_scan_worker) {
     ctx.counters->nested_serial_scans.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -412,8 +405,6 @@ std::vector<std::optional<double>> ExactAnswers(
   if (workers > 1 && queries.size() >= 2 * workers) {
     if (ctx.counters != nullptr) {
       ctx.counters->parallel_scans.fetch_add(1, std::memory_order_relaxed);
-      ctx.counters->worker_ranges.fetch_add(workers,
-                                            std::memory_order_relaxed);
     }
     ForEachIndex(ctx, queries.size(), workers, [&](size_t i) {
       out[i] = scan::ExactAnswer(store, queries[i]);

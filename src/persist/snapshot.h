@@ -25,7 +25,8 @@ namespace persist {
 
 /// Snapshot file layout (all integers little-endian):
 ///   bytes 0-3   magic "JAQS"
-///   bytes 4-7   format version (u32, currently 1)
+///   bytes 4-7   format version (u32, currently 2; version 2 appends the
+///               multi engine's extra templates to JanusAqp's bytes)
 ///   bytes 8-15  payload byte count (u64)
 ///   bytes 16-23 FNV-1a 64 checksum of the payload (u64)
 ///   bytes 24-   payload: SnapshotMeta, then the engine's SaveState bytes
@@ -33,7 +34,7 @@ namespace persist {
 /// payload byte reaches an engine, so wrong-magic / truncated / bit-flipped
 /// files fail with a clean PersistError and never a crash.
 inline constexpr uint32_t kSnapshotMagic = 0x53514A41u;  // "JAQS"
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// Serialize `meta` at the front of a payload writer.
 void WriteMeta(const SnapshotMeta& meta, Writer* w);

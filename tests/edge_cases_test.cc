@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "core/janus.h"
-#include "core/multi.h"
 #include "data/generators.h"
 #include "data/ground_truth.h"
 
@@ -201,21 +200,30 @@ TEST(EdgeCaseTest, PointQueryRectangle) {
   EXPECT_LT(r.estimate, 100.0);
 }
 
-TEST(EdgeCaseTest, MultiTemplateWithNoTemplatesInitializes) {
+TEST(EdgeCaseTest, SecondTemplateIsBuiltAfterInitialize) {
   auto ds = GenerateUniform(5000, 2, 10);
-  MultiTemplateJanus system(SmallOptions());
+  JanusOptions o = SmallOptions();
+  o.spec.agg_column = 2;
+  JanusAqp system(o);
   system.LoadInitial(ds.rows);
-  system.Initialize();  // no templates yet: nothing to build
-  EXPECT_EQ(system.num_templates(), 0u);
-  // First query creates the template lazily.
+  system.Initialize();  // builds template 0 only
+  EXPECT_EQ(system.num_templates(), 1u);
+  EXPECT_EQ(system.TemplateFor({1}), -1);
+  // A template discovered after Initialize gets its tree from the pooled
+  // sample at once.
+  SynopsisSpec spec;
+  spec.agg_column = 2;
+  spec.predicate_columns = {1};
+  EXPECT_EQ(system.AddTemplate(spec), 1);
+  EXPECT_EQ(system.TemplateFor({1}), 1);
+  EXPECT_EQ(system.num_templates(), 2u);
   AggQuery q;
   q.func = AggFunc::kCount;
   q.agg_column = 2;
-  q.predicate_columns = {0};
+  q.predicate_columns = {1};
   q.rect = Rectangle({0.0}, {1.0});
-  const QueryResult r = system.Query(q);
-  EXPECT_EQ(system.num_templates(), 1u);
-  EXPECT_NEAR(r.estimate, 5000.0, 600.0);
+  EXPECT_NEAR(system.dpt(1).Query(q).estimate, 5000.0, 600.0);
+  system.CheckInvariants();
 }
 
 TEST(EdgeCaseTest, InsertFarOutsideInitialDomain) {

@@ -303,9 +303,9 @@ void ExpectSameStats(const EngineStats& a, const EngineStats& b,
       << name;
   EXPECT_EQ(a.last_reopt_seconds, b.last_reopt_seconds) << name;
   EXPECT_EQ(a.last_blocking_seconds, b.last_blocking_seconds) << name;
-  if (a.engine == "janus" || a.engine == "sharded:janus") {
-    // janus times the builds its own process ran and persists none, so a
-    // restored copy reads zero until it builds.
+  if (InnerName(a.engine) == "janus" || InnerName(a.engine) == "multi") {
+    // janus (either name) times the builds its own process ran and persists
+    // none, so a restored copy reads zero until it builds.
     EXPECT_EQ(b.build_seconds, 0.0) << name;
     EXPECT_EQ(b.partition_seconds, 0.0) << name;
   } else {
@@ -449,6 +449,54 @@ TEST(EngineStatsTest, JanusReportsItsLastBuild) {
     EXPECT_LE(rebuilt.partition_seconds, rebuilt.build_seconds) << name;
     EXPECT_NE(rebuilt.partition_seconds, init.partition_seconds) << name;
     EXPECT_NE(rebuilt.build_seconds, init.build_seconds) << name;
+  }
+}
+
+TEST(EngineStatsTest, MultiAnswersItsConfiguredTemplateLikeJanus) {
+  // One class serves both names: on the configured template multi answers
+  // exactly as janus with triggers off, tracked columns included (multi once
+  // dropped them and answered tracked aggregates from the pooled sample).
+  auto ds = GenerateUniform(20000, 2, TestSeed() + 71);
+  for (const bool tracked : {false, true}) {
+    EngineConfig cfg = BaseConfig();
+    if (tracked) cfg.extra_tracked_columns = {2};
+    auto janus = EngineRegistry::Create("janus", cfg);
+    auto multi = EngineRegistry::Create("multi", cfg);
+    for (AqpEngine* e : {janus.get(), multi.get()}) {
+      e->LoadInitial(ds.rows);
+      e->Initialize();
+      e->RunCatchupToGoal();
+      Rng rng(TestSeed() + 72);
+      for (uint64_t i = 0; i < 4000; ++i) {
+        Tuple t;
+        t.id = 900000 + i;
+        t[0] = rng.NextDouble();
+        t[1] = rng.NextDouble();
+        t[2] = rng.Normal(10, 2);
+        e->Insert(t);
+        ASSERT_TRUE(e->Delete(3 * i));
+      }
+    }
+    Rng rng(TestSeed() + 73);
+    size_t index = 0;
+    for (int i = 0; i < 20; ++i) {
+      const double lo = 0.7 * rng.NextDouble();
+      const double hi = lo + 0.05 + 0.25 * rng.NextDouble();
+      for (const int column : {1, 2}) {
+        for (const AggFunc f : {AggFunc::kSum, AggFunc::kCount, AggFunc::kAvg,
+                                AggFunc::kMin, AggFunc::kMax}) {
+          AggQuery q = MakeQuery(f, lo, hi);
+          q.agg_column = column;
+          const QueryResult b = multi->Query(q);
+          ExpectSameResult(janus->Query(q), b,
+                           tracked ? "tracked=2" : "untracked", index++);
+          if (tracked && column == 2 && f == AggFunc::kSum) {
+            EXPECT_GT(b.covered_nodes, 0u) << "window " << i;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(multi->Stats().num_templates, 1);
   }
 }
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/multi.h"
 #include "data/generators.h"
 #include "data/ground_truth.h"
 #include "persist/serde.h"
@@ -488,20 +487,17 @@ TEST(JanusTest, SlidingWindowAnswersMatchRecordedDigests) {
 }
 
 TEST(JanusTest, PooledMultiRebuildIsBitIdenticalToSerial) {
-  // multi's rebuild runs through the same pipeline: each template's side
-  // tree built in parallel parts on the pool.
+  // A two-template rebuild runs through the same pipeline: each template's
+  // side tree built in parallel parts on the pool.
   const GeneratedDataset ds = GenerateUniform(20000, 2, 31);
   auto run = [&](ThreadPool* threads) {
     JanusOptions o = BaseOptions();
     o.exec.pool = threads;
-    auto multi = std::make_unique<MultiTemplateJanus>(o);
-    SynopsisSpec one;
-    one.agg_column = 2;
-    one.predicate_columns = {0};
+    o.spec.agg_column = 2;
+    auto multi = std::make_unique<JanusAqp>(o);
     SynopsisSpec two;
     two.agg_column = 2;
     two.predicate_columns = {0, 1};
-    multi->AddTemplate(one);
     multi->AddTemplate(two);
     multi->LoadInitial(ds.rows);
     multi->Initialize();
@@ -612,9 +608,10 @@ struct Window {
 
 /// SaveTo bytes of `s` with the two wall-clock counters zeroed
 /// (last_reopt_seconds and last_blocking_seconds, which follow the table,
-/// the system RNG and eleven U64 counters). The catch-up's processing time
-/// is 0 when no step ran since it started, which the callers check.
-std::string JanusSnapshotDigest(const JanusAqp& s) {
+/// the system RNG and eleven U64 counters), followed by SaveTemplates' bytes
+/// when `templates`. The catch-up's processing time is 0 when no step ran
+/// since it started, which the callers check.
+std::string JanusSnapshotDigest(const JanusAqp& s, bool templates = false) {
   persist::Writer all, table, rng;
   s.SaveTo(&all);
   s.table().SaveTo(&table);
@@ -626,12 +623,15 @@ std::string JanusSnapshotDigest(const JanusAqp& s) {
               2 * sizeof(double), uint8_t{0});
   persist::Writer masked;
   masked.Bytes(bytes.data(), bytes.size());
+  if (templates) s.SaveTemplates(&masked);
   return DigestHex(masked);
 }
 
 struct WindowDigests {
   std::string answers;
   std::string snapshot;
+  /// The table, the reservoir and each template's tree, in that order.
+  std::string parts;
 };
 
 /// 1-D janus over a sliding window whose oldest leaf drains (starvation
@@ -698,7 +698,7 @@ WindowDigests RunJanusWindow(bool background) {
   for (int i = 0; i < 1500; ++i) window.Step();
   EXPECT_EQ(s.catchup_processed(), 0u);
   EXPECT_EQ(s.catchup_processing_seconds(), 0.0);
-  return {DigestHex(answers), JanusSnapshotDigest(s)};
+  return {DigestHex(answers), JanusSnapshotDigest(s), {}};
 }
 
 TEST(JanusTest, BlockingWindowWithCatchupMatchesRecordedDigests) {
@@ -713,10 +713,10 @@ TEST(JanusTest, BackgroundWindowWithCatchupMatchesRecordedDigests) {
   EXPECT_EQ(d.snapshot, "0xfb00cbf2f2b3c1f0");
 }
 
-/// multi over the same kind of window: two templates registered up front,
-/// a third discovered mid-stream, catch-up run to its goal between deletes
-/// and a rebuild every 3000 steps. `background` runs each rebuild as Begin,
-/// window steps, catch-up, Build, window steps, Finish.
+/// Several templates over the same kind of window: two registered up
+/// front, a third discovered mid-stream, catch-up run to its goal between
+/// deletes and a rebuild every 3000 steps. `background` runs each rebuild as
+/// Begin, window steps, catch-up, Build, window steps, Finish.
 WindowDigests RunMultiWindow(bool background) {
   constexpr uint64_t kRows = 12000;
   constexpr uint64_t kSteps = 11500;
@@ -725,28 +725,26 @@ WindowDigests RunMultiWindow(bool background) {
   for (uint64_t id = 0; id < kRows; ++id) {
     rows.push_back(WindowRow(id, &data_rng));
   }
-  MultiTemplateJanus m(BaseOptions());
-  SynopsisSpec one;
-  one.agg_column = 2;
-  one.predicate_columns = {0};
-  SynopsisSpec two = one;
+  JanusOptions o = BaseOptions();
+  o.spec.agg_column = 2;
+  JanusAqp m(o);
+  SynopsisSpec two = o.spec;
   two.predicate_columns = {0, 1};
-  m.AddTemplate(one);
   m.AddTemplate(two);
   m.LoadInitial(rows);
   m.Initialize();
-  Window<MultiTemplateJanus> window{&m, &data_rng, kRows};
+  Window<JanusAqp> window{&m, &data_rng, kRows};
   auto rebuild = [&] {
     if (!background) {
       EXPECT_TRUE(m.Rebuild());
       return;
     }
-    EXPECT_TRUE(m.BeginBackgroundRebuild());
+    EXPECT_TRUE(m.BeginBackgroundReopt());
     for (int i = 0; i < 5; ++i) window.Step();
     m.RunCatchupToGoal();
-    m.BuildBackgroundRebuild();
+    m.BuildBackgroundReopt();
     for (int i = 0; i < 5; ++i) window.Step();
-    EXPECT_TRUE(m.FinishBackgroundRebuild());
+    EXPECT_TRUE(m.FinishBackgroundReopt());
   };
   persist::Writer answers;
   Rng query_rng(63);
@@ -756,7 +754,10 @@ WindowDigests RunMultiWindow(bool background) {
     q.agg_column = 2;
     q.predicate_columns = std::move(pred);
     q.rect = std::move(rect);
-    const QueryResult r = m.Query(q);
+    // Routed by predicate columns; an unseen template is built on demand.
+    int idx = m.TemplateFor(q.predicate_columns);
+    if (idx < 0) idx = m.AddTemplate({q.agg_column, q.predicate_columns});
+    const QueryResult r = m.dpt(idx).Query(q);
     answers.F64(r.estimate);
     answers.F64(r.ci_half_width);
   };
@@ -786,21 +787,33 @@ WindowDigests RunMultiWindow(bool background) {
   // each snapshot different from the live table.
   rebuild();
   for (int i = 0; i < 1500; ++i) window.Step();
-  persist::Writer snapshot;
-  m.SaveTo(&snapshot);
-  return {DigestHex(answers), DigestHex(snapshot)};
+  EXPECT_EQ(m.catchup_processed(), 0u);
+  EXPECT_EQ(m.catchup_processing_seconds(), 0.0);
+  persist::Writer parts;
+  m.table().SaveTo(&parts);
+  m.reservoir().SaveTo(&parts);
+  for (size_t i = 0; i < m.num_templates(); ++i) {
+    m.dpt(static_cast<int>(i)).SaveTo(&parts);
+  }
+  return {DigestHex(answers), JanusSnapshotDigest(m, /*templates=*/true),
+          DigestHex(parts)};
 }
 
+// The answer and parts digests were recorded from the separate
+// multi-template class this one replaced; the snapshot digest pins the
+// payload the multi engine writes.
 TEST(JanusTest, BlockingMultiWindowWithCatchupMatchesRecordedDigests) {
   const WindowDigests d = RunMultiWindow(/*background=*/false);
   EXPECT_EQ(d.answers, "0xf5979592d0673794");
-  EXPECT_EQ(d.snapshot, "0x0d8ca353da9d75d3");
+  EXPECT_EQ(d.parts, "0x8ca4441ce915cfdc");
+  EXPECT_EQ(d.snapshot, "0xb73947d1b6d68175");
 }
 
 TEST(JanusTest, BackgroundMultiWindowWithCatchupMatchesRecordedDigests) {
   const WindowDigests d = RunMultiWindow(/*background=*/true);
   EXPECT_EQ(d.answers, "0x35543405ff1145a4");
-  EXPECT_EQ(d.snapshot, "0x794157c685209434");
+  EXPECT_EQ(d.parts, "0x70c76b579922c2b0");
+  EXPECT_EQ(d.snapshot, "0x75636b59f30c1fca");
 }
 
 }  // namespace

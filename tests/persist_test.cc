@@ -332,6 +332,23 @@ TEST_F(SnapshotFileTest, UnsupportedVersionThrows) {
   EXPECT_THROW(engine_->Load(path_), persist::PersistError);
 }
 
+TEST_F(SnapshotFileTest, VersionOneFileIsRejected) {
+  // Version 2 changed multi's payload, so no version-1 payload is decoded.
+  auto bytes = ReadRaw();
+  ASSERT_EQ(bytes[4], persist::kSnapshotVersion);
+  bytes[4] = 1;
+  WriteRaw(bytes);
+  try {
+    engine_->Load(path_);
+    ADD_FAILURE() << "a version-1 snapshot was loaded";
+  } catch (const persist::PersistError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot format "
+                                         "version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(SnapshotFileTest, TruncatedFileThrows) {
   auto bytes = ReadRaw();
   ASSERT_GT(bytes.size(), 100u);
@@ -391,8 +408,12 @@ AggQuery TemplateQuery(AggFunc f, double lo, double hi) {
   return q;
 }
 
+/// `discover_before_crash` puts a query over a second predicate set (the
+/// aggregate column) first in the query stream and every 7th after it, so
+/// multi builds that template before the crash point and must restore it.
 void RunCrashRecoveryScenario(const std::string& engine_name, uint64_t seed,
-                              bool with_catchup_steps) {
+                              bool with_catchup_steps,
+                              bool discover_before_crash = false) {
   SCOPED_TRACE(engine_name + " seed=" + std::to_string(seed));
   EngineConfig cfg;
   cfg.engine = engine_name;
@@ -434,6 +455,15 @@ void RunCrashRecoveryScenario(const std::string& engine_name, uint64_t seed,
   // prefix.
   for (int i = 0; i < 300; ++i) {
     const double lo = 0.045 * (i % 13);
+    if (discover_before_crash && i % 7 == 0) {
+      AggQuery q;
+      q.func = AggFunc::kSum;
+      q.agg_column = 1;
+      q.predicate_columns = {1};
+      q.rect = Rectangle({8.0 + lo}, {11.5 + lo});
+      broker.query_topic()->Append(q);
+      continue;
+    }
     broker.query_topic()->Append(TemplateQuery(AggFunc::kSum, lo, lo + 0.35));
   }
 
@@ -457,6 +487,10 @@ void RunCrashRecoveryScenario(const std::string& engine_name, uint64_t seed,
                }());
   driver_a.SaveSnapshot(path);
   (void)driver_a.TakeResults();  // answers from before the crash point
+  const int templates_at_crash = engine_a->Stats().num_templates;
+  if (discover_before_crash) {
+    EXPECT_EQ(templates_at_crash, 2);
+  }
 
   // The uninterrupted run continues to the end of the stream.
   driver_a.Drain();
@@ -468,6 +502,7 @@ void RunCrashRecoveryScenario(const std::string& engine_name, uint64_t seed,
   EngineDriver driver_b(engine_b.get(), &broker, dopts);
   driver_b.LoadSnapshot(path);
   EXPECT_GT(driver_b.insert_offset() + driver_b.delete_offset(), 0u);
+  EXPECT_EQ(engine_b->Stats().num_templates, templates_at_crash);
   driver_b.Drain();
   const std::vector<QueryResult> tail_b = driver_b.TakeResults();
 
@@ -540,6 +575,13 @@ TEST(CrashRecoveryTest, BaselinesRecoverExactly) {
   RunCrashRecoveryScenario("spn", TestSeed() + 13, false);
   RunCrashRecoveryScenario("spt", TestSeed() + 14, false);
   RunCrashRecoveryScenario("multi", TestSeed() + 15, true);
+}
+
+TEST(CrashRecoveryTest, MultiRecoversTemplatesDiscoveredBeforeTheCrash) {
+  RunCrashRecoveryScenario("multi", TestSeed() + 16, true,
+                           /*discover_before_crash=*/true);
+  RunCrashRecoveryScenario("sharded:multi", TestSeed() + 23, false,
+                           /*discover_before_crash=*/true);
 }
 
 TEST(CrashRecoveryTest, ShardedEnginesRecoverExactly) {

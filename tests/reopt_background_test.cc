@@ -20,7 +20,6 @@
 #include "api/engine.h"
 #include "api/registry.h"
 #include "core/janus.h"
-#include "core/multi.h"
 #include "data/generators.h"
 #include "data/ground_truth.h"
 #include "tests/test_seed.h"
@@ -247,10 +246,12 @@ TEST(ReoptBackgroundTest, StaleSideTreeIsDiscardedNotAdopted) {
   system.CheckInvariants();
 }
 
-// --- MultiTemplateJanus equivalence -----------------------------------------
+// --- Multi-template equivalence ----------------------------------------------
 
 JanusOptions MultiEquivOptions() {
   JanusOptions o;
+  o.spec.agg_column = 2;
+  o.spec.predicate_columns = {0};
   o.num_leaves = 16;
   o.sample_rate = 0.02;
   o.catchup_rate = 0.10;
@@ -270,17 +271,22 @@ AggQuery MultiQuery(AggFunc f, std::vector<int> preds, std::vector<double> lo,
   return q;
 }
 
+/// Answer `q` from the template with its predicate columns, building one on
+/// demand when none exists (what the multi engine does).
+QueryResult RoutedQuery(JanusAqp* s, const AggQuery& q) {
+  int idx = s->TemplateFor(q.predicate_columns);
+  if (idx < 0) idx = s->AddTemplate({q.agg_column, q.predicate_columns});
+  return s->dpt(idx).Query(q);
+}
+
 TEST(ReoptBackgroundTest, MultiPipelineMatchesBlockingRebuild) {
   auto ds = GenerateUniform(5000, 2, static_cast<int>(TestSeed() % 997));
-  MultiTemplateJanus blocking(MultiEquivOptions());
-  MultiTemplateJanus background(MultiEquivOptions());
-  SynopsisSpec s0, s1;
-  s0.agg_column = 2;
-  s0.predicate_columns = {0};
+  JanusAqp blocking(MultiEquivOptions());
+  JanusAqp background(MultiEquivOptions());
+  SynopsisSpec s1;
   s1.agg_column = 2;
   s1.predicate_columns = {1};
-  for (MultiTemplateJanus* s : {&blocking, &background}) {
-    s->AddTemplate(s0);
+  for (JanusAqp* s : {&blocking, &background}) {
     s->AddTemplate(s1);
     s->LoadInitial(ds.rows);
     s->Initialize();
@@ -288,16 +294,15 @@ TEST(ReoptBackgroundTest, MultiPipelineMatchesBlockingRebuild) {
 
   std::vector<uint64_t> live;
   for (const Tuple& t : ds.rows) live.push_back(t.id);
-  LockstepStream<MultiTemplateJanus> stream(TestSeed() + 2, 2000000,
-                                            std::move(live));
+  LockstepStream<JanusAqp> stream(TestSeed() + 2, 2000000, std::move(live));
   stream.Apply({&blocking, &background}, 400, 0.3, 2);
 
   // Point P: blocking instance rebuilds every template inline; background
   // instance opens the pipeline. Both draw one catch-up seed per template in
-  // entry order, keeping the RNG streams aligned.
-  blocking.Rebuild();
-  ASSERT_TRUE(background.BeginBackgroundRebuild());
-  EXPECT_TRUE(background.BackgroundRebuildActive());
+  // template order, keeping the RNG streams aligned.
+  ASSERT_TRUE(blocking.Rebuild());
+  ASSERT_TRUE(background.BeginBackgroundReopt());
+  EXPECT_TRUE(background.BackgroundReoptActive());
 
   // Mid-build updates (heavy deletes: enough evictions to resample the
   // shared reservoir inside the window) plus an on-demand template discovered
@@ -306,18 +311,19 @@ TEST(ReoptBackgroundTest, MultiPipelineMatchesBlockingRebuild) {
   stream.Apply({&blocking, &background}, 3200, 1.0, 2);
   const AggQuery discover =
       MultiQuery(AggFunc::kSum, {0, 1}, {0.1, 0.1}, {0.9, 0.9});
-  (void)blocking.Query(discover);
-  (void)background.Query(discover);
+  (void)RoutedQuery(&blocking, discover);
+  (void)RoutedQuery(&background, discover);
   ASSERT_EQ(blocking.num_templates(), 3u);
   ASSERT_EQ(background.num_templates(), 3u);
 
-  background.BuildBackgroundRebuild();
+  background.BuildBackgroundReopt();
   stream.Apply({&blocking, &background}, 100, 0.3, 2);
 
-  uint64_t replayed = 0;
-  ASSERT_TRUE(background.FinishBackgroundRebuild(&replayed));
-  EXPECT_GT(replayed, 0u);
-  EXPECT_FALSE(background.BackgroundRebuildActive());
+  const uint64_t replayed_before = background.counters().delta_ops_replayed;
+  ASSERT_TRUE(background.FinishBackgroundReopt());
+  EXPECT_GT(background.counters().delta_ops_replayed, replayed_before);
+  EXPECT_EQ(background.counters().background_reopts, 1u);
+  EXPECT_FALSE(background.BackgroundReoptActive());
 
   stream.Apply({&blocking, &background}, 150, 0.3, 2);
   blocking.RunCatchupToGoal();
@@ -334,8 +340,8 @@ TEST(ReoptBackgroundTest, MultiPipelineMatchesBlockingRebuild) {
         MultiQuery(AggFunc::kSum, {0, 1}, {a, a}, {b, b}),
     };
     for (const AggQuery& q : queries) {
-      const QueryResult ra = blocking.Query(q);
-      const QueryResult rb = background.Query(q);
+      const QueryResult ra = RoutedQuery(&blocking, q);
+      const QueryResult rb = RoutedQuery(&background, q);
       const std::string what = "round " + std::to_string(round);
       if (q.func == AggFunc::kCount) {
         EXPECT_EQ(ra.estimate, rb.estimate) << what;

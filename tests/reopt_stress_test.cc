@@ -5,7 +5,8 @@
 // thread, which rebuilds off to the side while producers keep inserting and
 // deleting and readers keep querying. Both reopt modes run for "janus"
 // (concurrent updaters, one maintenance thread) and "sharded:janus" (one
-// maintenance thread per shard).
+// maintenance thread per shard). "multi" and "sharded:multi" run the same
+// concurrent update path while their reader discovers templates.
 //
 // Runs under ThreadSanitizer in CI, both in the full-suite pass and in the
 // pinned JANUS_SCAN_THREADS={2,8} matrix (see .github/workflows/ci.yml).
@@ -155,6 +156,112 @@ void RunStress(const std::string& engine_name, const std::string& mode) {
   engine->CheckInvariants();
 }
 
+/// multi: two updaters race one reader whose queries discover two more
+/// templates (appending to the template list every update walks) and whose
+/// Reinitialize rebuilds every template on the maintenance thread.
+void RunMultiStress(const std::string& engine_name) {
+  SCOPED_TRACE(engine_name);
+  constexpr int kProducers = 2;
+  constexpr uint64_t kInsertsPerProducer = 3000;
+  constexpr uint64_t kDeletesPerProducer = 600;
+  constexpr uint64_t kInitialRows = 6000;
+
+  auto ds = GenerateUniform(kInitialRows, 2, 73);  // predicates 0, 1; agg 2
+  EngineConfig cfg = StressConfig(engine_name, "background");
+  cfg.agg_column = 2;
+  auto engine = EngineRegistry::Create(engine_name, cfg);
+  engine->LoadInitial(ds.rows);
+  engine->Initialize();
+
+  auto query = [](AggFunc f, std::vector<int> columns, double lo, double hi) {
+    AggQuery q;
+    q.func = f;
+    q.agg_column = 2;
+    q.rect = Rectangle(std::vector<double>(columns.size(), lo),
+                       std::vector<double>(columns.size(), hi));
+    q.predicate_columns = std::move(columns);
+    return q;
+  };
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&engine, p] {
+      Rng rng(2000 + static_cast<uint64_t>(p));
+      const uint64_t base =
+          1000000 + static_cast<uint64_t>(p) * kInsertsPerProducer;
+      for (uint64_t i = 0; i < kInsertsPerProducer; ++i) {
+        Tuple t;
+        t.id = base + i;
+        t[0] = rng.NextDouble();
+        t[1] = rng.NextDouble();
+        t[2] = rng.Normal(10, 2);
+        engine->Insert(t);
+        if (i >= kInsertsPerProducer - kDeletesPerProducer) {
+          const uint64_t victim =
+              base + (i - (kInsertsPerProducer - kDeletesPerProducer));
+          EXPECT_TRUE(engine->Delete(victim)) << victim;
+        }
+      }
+    });
+  }
+
+  std::thread reader([&] {
+    bool rebuilt = false;
+    while (!done.load(std::memory_order_acquire)) {
+      for (const std::vector<int>& columns :
+           {std::vector<int>{0}, std::vector<int>{1},
+            std::vector<int>{0, 1}}) {
+        const QueryResult r = engine->Query(query(AggFunc::kSum, columns,
+                                                  0.1, 0.9));
+        EXPECT_TRUE(r.ok);
+        EXPECT_TRUE(std::isfinite(r.estimate));
+        if (!rebuilt) {
+          engine->Reinitialize();  // records a request; returns at once
+          rebuilt = true;
+        }
+      }
+      const auto batch =
+          engine->QueryBatch({query(AggFunc::kCount, {1}, 0.0, 1.0),
+                              query(AggFunc::kAvg, {0, 1}, 0.2, 0.8)});
+      for (const QueryResult& r : batch) EXPECT_TRUE(r.ok);
+    }
+  });
+
+  for (auto& t : producers) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  // Every shard's rebuild lands; until it does the maintenance thread may
+  // still swap trees.
+  const uint64_t rebuilds =
+      engine_name == "multi" ? 1 : static_cast<uint64_t>(cfg.num_shards);
+  for (int i = 0; i < 5000 && engine->Stats().background_reopts < rebuilds;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const EngineStats s = engine->Stats();
+  EXPECT_EQ(s.background_reopts, rebuilds);
+  EXPECT_EQ(s.num_templates, 3);
+  EXPECT_EQ(s.trigger_checks, 0u);
+  EXPECT_EQ(s.inserts, kProducers * kInsertsPerProducer);
+  EXPECT_EQ(s.deletes, kProducers * kDeletesPerProducer);
+  EXPECT_EQ(s.rows, kInitialRows + kProducers * (kInsertsPerProducer -
+                                                 kDeletesPerProducer));
+
+  // After catch-up every template's full-range COUNT is the live row count
+  // up to FP rounding: an update lost or applied twice in any tree fails.
+  engine->RunCatchupToGoal();
+  const double live = static_cast<double>(s.rows);
+  for (const std::vector<int>& columns :
+       {std::vector<int>{0}, std::vector<int>{1}, std::vector<int>{0, 1}}) {
+    const QueryResult r =
+        engine->Query(query(AggFunc::kCount, columns, 0.0, 1.0));
+    EXPECT_NEAR(r.estimate, live, live * 1e-9) << columns.size();
+  }
+  engine->CheckInvariants();
+}
+
 TEST(ReoptStressTest, JanusBlocking) { RunStress("janus", "blocking"); }
 TEST(ReoptStressTest, JanusBackground) { RunStress("janus", "background"); }
 TEST(ReoptStressTest, ShardedJanusBlocking) {
@@ -162,6 +269,12 @@ TEST(ReoptStressTest, ShardedJanusBlocking) {
 }
 TEST(ReoptStressTest, ShardedJanusBackground) {
   RunStress("sharded:janus", "background");
+}
+TEST(ReoptStressTest, MultiDiscoversTemplatesUnderConcurrentUpdates) {
+  RunMultiStress("multi");
+}
+TEST(ReoptStressTest, ShardedMultiDiscoversTemplatesUnderConcurrentUpdates) {
+  RunMultiStress("sharded:multi");
 }
 
 }  // namespace
